@@ -15,8 +15,10 @@ use crate::complex::Complex;
 pub struct FftPlan {
     n: usize,
     log2n: u32,
-    /// Twiddles for the forward transform: `exp(-j 2π k / n)` for `k < n/2`.
-    twiddles: Vec<Complex>,
+    /// Forward twiddles laid out per butterfly stage: the stage with
+    /// half-width `h` reads `exp(-j 2π k (n / 2h) / n)`, `k < h`, as
+    /// the contiguous run starting at `h − 1` (`n − 1` entries total).
+    stage_twiddles: Vec<Complex>,
     /// Bit-reversal permutation.
     rev: Vec<u32>,
 }
@@ -32,10 +34,16 @@ impl FftPlan {
             "FFT size must be a power of two >= 2, got {n}"
         );
         let log2n = n.trailing_zeros();
-        let twiddles = (0..n / 2)
+        let twiddles: Vec<Complex> = (0..n / 2)
             .map(|k| {
                 let theta = -std::f64::consts::TAU * k as f64 / n as f64;
                 Complex::from_angle(theta)
+            })
+            .collect();
+        let stage_twiddles = (0..log2n)
+            .flat_map(|stage| {
+                let step = n >> (stage + 1);
+                twiddles.iter().step_by(step).copied()
             })
             .collect();
         let mut rev = vec![0u32; n];
@@ -45,7 +53,7 @@ impl FftPlan {
         FftPlan {
             n,
             log2n,
-            twiddles,
+            stage_twiddles,
             rev,
         }
     }
@@ -115,6 +123,31 @@ impl FftPlan {
         self.inverse(out);
     }
 
+    /// Dechirp and forward-transform one symbol window into `out`
+    /// (resized to the plan length): bit-identical to
+    /// [`crate::chirp::dechirp_into`] followed by [`FftPlan::forward`],
+    /// with the products written straight into bit-reversed order so
+    /// the permutation pass disappears.
+    ///
+    /// # Panics
+    /// Panics if `window` or `reference` differs from the plan size.
+    pub fn forward_dechirp_into(
+        &self,
+        window: &[Complex],
+        reference: &[Complex],
+        out: &mut Vec<Complex>,
+    ) {
+        assert_eq!(window.len(), self.n, "FFT input length mismatch");
+        assert_eq!(reference.len(), self.n, "dechirp reference length mismatch");
+        out.clear();
+        out.extend(
+            self.rev
+                .iter()
+                .map(|&r| window[r as usize] * reference[r as usize]),
+        );
+        self.butterflies(out, false);
+    }
+
     fn permute(&self, buf: &mut [Complex]) {
         for i in 0..self.n {
             let j = self.rev[i] as usize;
@@ -125,19 +158,17 @@ impl FftPlan {
     }
 
     fn butterflies(&self, buf: &mut [Complex], inverse: bool) {
-        let n = self.n;
         for stage in 0..self.log2n {
-            let len = 2usize << stage;
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let tw = self.twiddles[k * step];
+            let half = 1usize << stage;
+            let twiddles = &self.stage_twiddles[half - 1..2 * half - 1];
+            for block in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &tw) in lo.iter_mut().zip(hi).zip(twiddles) {
                     let tw = if inverse { tw.conj() } else { tw };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * tw;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+                    let x = *a;
+                    let y = *b * tw;
+                    *a = x + y;
+                    *b = x - y;
                 }
             }
         }

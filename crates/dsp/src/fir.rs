@@ -10,6 +10,9 @@ use crate::complex::Complex;
 use crate::math::sinc;
 use crate::window::Window;
 
+/// Outputs per pass over the taps in [`Fir::filter_aligned_into`].
+const FIR_BLOCK: usize = 8;
+
 /// Streaming direct-form FIR filter over complex samples with real taps.
 #[derive(Debug, Clone)]
 pub struct Fir {
@@ -85,6 +88,50 @@ impl Fir {
         out.clear();
         out.reserve(x.len());
         out.extend(x.iter().map(|&s| self.push(s)));
+    }
+
+    /// Filter a whole capture from reset state with group-delay
+    /// compensation, into `out` (cleared first): `out[i]` is the
+    /// streaming output at input `i + d`, `d = (len − 1) / 2`, with the
+    /// trailing edge flushed by zeros. Bit-identical to [`Fir::reset`],
+    /// [`Fir::process_into`], `d` zero pushes and dropping the first `d`
+    /// outputs, because each output still sums every tap in tap order
+    /// from `Complex::ZERO`, zero-history and flush terms included.
+    ///
+    /// Outputs whose taps all land inside `x` run as a block filter,
+    /// eight per pass over the taps; the few at either edge take the
+    /// zero terms one by one. Leaves the streaming state untouched.
+    pub fn filter_aligned_into(&self, x: &[Complex], out: &mut Vec<Complex>) {
+        let taps = self.taps.as_slice();
+        let span = taps.len() - 1;
+        let delay = span / 2;
+        // tap k of output i meets input i + delay − k, zero outside x
+        let edge = |i: usize| {
+            let mut acc = Complex::ZERO;
+            for (k, &t) in taps.iter().enumerate() {
+                let s = (i + delay).checked_sub(k).and_then(|m| x.get(m));
+                acc += s.copied().unwrap_or(Complex::ZERO).scale(t);
+            }
+            acc
+        };
+        let body_end = x.len().saturating_sub(delay);
+        let body_start = (span - delay).min(body_end);
+        out.clear();
+        out.reserve(x.len());
+        out.extend((0..body_start).map(edge));
+        let mut i = body_start;
+        while i + FIR_BLOCK <= body_end {
+            let window = &x[i + delay - span..i + delay + FIR_BLOCK];
+            let mut acc = [Complex::ZERO; FIR_BLOCK];
+            for (k, &t) in taps.iter().enumerate() {
+                for (a, &s) in acc.iter_mut().zip(&window[span - k..span - k + FIR_BLOCK]) {
+                    *a += s.scale(t);
+                }
+            }
+            out.extend_from_slice(&acc);
+            i += FIR_BLOCK;
+        }
+        out.extend((i..x.len()).map(edge));
     }
 
     /// Group delay in samples for a linear-phase (symmetric) design.

@@ -14,21 +14,30 @@
 //! upchirp and downchirp and then compare the amplitudes of their FFT
 //! peaks."
 
-use tinysdr_dsp::chirp::{dechirp_into, ChirpConfig, ChirpGenerator};
+use tinysdr_dsp::chirp::{ChirpConfig, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
 use tinysdr_dsp::fft::FftPlan;
 use tinysdr_dsp::fir::{demod_frontend, Fir};
 
 /// Reusable working state for one demodulator's `*_with` hot paths:
-/// the front-end FIR (cloned from the demodulator so taps match), the
-/// group-delay-compensated capture, and the dechirp/FFT symbol buffer.
-/// Build with [`Demodulator::scratch`]; hold one per worker thread.
-#[derive(Debug, Clone)]
+/// the group-delay-compensated capture and the dechirp/FFT symbol
+/// buffer. Build with [`Demodulator::scratch`]; hold one per worker
+/// thread.
+#[derive(Debug, Clone, Default)]
 pub struct DemodScratch {
-    fir: Fir,
     filtered: Vec<Complex>,
     buf: Vec<Complex>,
 }
+
+/// Relative band below the largest `|X[k]|²` inside which the banded
+/// peak search takes `hypot`; DESIGN.md ("LoRa receiver kernels")
+/// shows every bin that could win lies inside it.
+const PEAK_BAND: f64 = 1e-9;
+/// Range the largest `|X[k]|²` must lie in for that argument to hold:
+/// no `norm_sqr` underflows or overflows there.
+const PEAK_RANGE: (f64, f64) = (1e-280, 1e280);
+/// Bins per step of the peak search's two passes.
+const PEAK_LANES: usize = 4;
 
 use crate::packet::FrameParams;
 use crate::phy::{self, CodeParams};
@@ -126,62 +135,58 @@ impl Demodulator {
     }
 
     /// Fresh per-demodulator scratch state for the `*_with` hot paths:
-    /// a private FIR clone plus the filtered-capture and dechirp/FFT
-    /// buffers. One per worker thread; reusable across captures.
+    /// the filtered-capture and dechirp/FFT buffers.
+    /// One per worker thread; reusable across captures.
     pub fn scratch(&self) -> DemodScratch {
-        DemodScratch {
-            fir: self.fir.clone(),
-            filtered: Vec::new(),
-            buf: Vec::new(),
-        }
+        DemodScratch::default()
     }
 
     /// Run the front-end low-pass filter over a capture with group-delay
     /// compensation: the output is sample-aligned with the input (the
     /// trailing edge is flushed with zeros).
     pub fn filter(&self, x: &[Complex]) -> Vec<Complex> {
-        let mut f = self.fir.clone();
         let mut out = Vec::new();
-        self.filter_core(x, &mut f, &mut out);
+        self.fir.filter_aligned_into(x, &mut out);
         out
     }
 
-    /// The filter body, against caller-owned FIR state and output.
-    fn filter_core(&self, x: &[Complex], f: &mut Fir, out: &mut Vec<Complex>) {
-        f.reset();
-        let delay = f.group_delay() as usize;
-        f.process_into(x, out);
-        for _ in 0..delay {
-            out.push(f.push(Complex::ZERO));
-        }
-        out.drain(..delay);
-    }
-
-    fn detect_with(&self, window: &[Complex], reference: &[Complex]) -> SymbolDetection {
-        let mut buf = Vec::with_capacity(window.len());
-        self.detect_with_buf(window, reference, &mut buf)
-    }
-
-    /// Dechirp → FFT → peak against a caller-owned working buffer.
-    /// Bit-identical to the allocating `detect_with`.
+    /// Dechirp → FFT → full peak scan against a caller-owned working
+    /// buffer: the only detection that computes `mean_magnitude`.
     fn detect_with_buf(
         &self,
         window: &[Complex],
         reference: &[Complex],
         buf: &mut Vec<Complex>,
     ) -> SymbolDetection {
+        self.plan.forward_dechirp_into(window, reference, buf);
+        self.scan_spectrum(buf)
+    }
+
+    /// Dechirp → FFT → peak-only search: `(symbol, magnitude)`,
+    /// bit-identical to the same fields of [`Self::detect_with_buf`].
+    fn peak_with_buf(
+        &self,
+        window: &[Complex],
+        reference: &[Complex],
+        buf: &mut Vec<Complex>,
+    ) -> (u16, f64) {
+        self.plan.forward_dechirp_into(window, reference, buf);
+        self.spectrum_peak(buf)
+    }
+
+    /// The symbol detector's full scan over one symbol spectrum: the
+    /// first bin of largest magnitude (`|X[k]|`, plus the aliased image
+    /// `|X[k + ns − n]|` when oversampled) and the mean magnitude.
+    fn scan_spectrum(&self, spectrum: &[Complex]) -> SymbolDetection {
         let ns = self.cfg.samples_per_symbol();
-        assert_eq!(window.len(), ns, "window must be one symbol");
-        dechirp_into(window, reference, buf);
-        self.plan.forward(buf);
         let n = self.cfg.n_chips();
         let osr = self.cfg.osr;
         let mut best = (0u16, f64::MIN);
         let mut sum = 0.0;
         for s in 0..n {
-            let mut mag = buf[s].abs();
+            let mut mag = spectrum[s].abs();
             if osr > 1 {
-                mag += buf[(ns - n + s) % ns].abs();
+                mag += spectrum[(ns - n + s) % ns].abs();
             }
             sum += mag;
             if mag > best.1 {
@@ -195,17 +200,46 @@ impl Demodulator {
         }
     }
 
+    /// `(symbol, magnitude)` of one symbol spectrum (`samples_per_symbol`
+    /// FFT bins), bit-identical to those fields of the full scan behind
+    /// [`Demodulator::detect_symbol`] but without its mean: the search
+    /// ranks bins by `norm_sqr` and takes `hypot` only within a relative
+    /// 1e-9 of the largest. It falls back to the full scan when
+    /// oversampled, when any bin is non-finite, or when the largest
+    /// `norm_sqr` lies outside `[1e-280, 1e280]`.
+    ///
+    /// # Panics
+    /// Panics if `spectrum` is shorter than one symbol.
+    pub fn spectrum_peak(&self, spectrum: &[Complex]) -> (u16, f64) {
+        let banded = if self.cfg.osr == 1 {
+            banded_peak(&spectrum[..self.cfg.n_chips()])
+        } else {
+            None
+        };
+        banded.unwrap_or_else(|| {
+            let d = self.scan_spectrum(spectrum);
+            (d.symbol, d.magnitude)
+        })
+    }
+
     /// Detect the symbol in an aligned window (dechirp → FFT → peak).
+    ///
+    /// # Panics
+    /// Panics if `window` is not exactly one symbol long.
     pub fn detect_symbol(&self, window: &[Complex]) -> SymbolDetection {
-        self.detect_with(window, &self.up_ref)
+        self.detect_with_buf(window, &self.up_ref, &mut Vec::new())
     }
 
     /// Detect chirp direction by comparing up- and down-dechirped peaks
     /// (the paper's chirp-type detector).
+    ///
+    /// # Panics
+    /// Panics if `window` is not exactly one symbol long.
     pub fn detect_direction(&self, window: &[Complex]) -> tinysdr_dsp::chirp::ChirpDirection {
-        let up = self.detect_with(window, &self.up_ref);
-        let down = self.detect_with(window, &self.down_ref);
-        if up.magnitude >= down.magnitude {
+        let mut buf = Vec::new();
+        let (_, up) = self.peak_with_buf(window, &self.up_ref, &mut buf);
+        let (_, down) = self.peak_with_buf(window, &self.down_ref, &mut buf);
+        if up >= down {
             tinysdr_dsp::chirp::ChirpDirection::Up
         } else {
             tinysdr_dsp::chirp::ChirpDirection::Down
@@ -244,8 +278,8 @@ impl Demodulator {
         scratch: &mut DemodScratch,
     ) -> (u64, u64) {
         let ns = self.cfg.samples_per_symbol();
-        let DemodScratch { fir, filtered, buf } = scratch;
-        self.filter_core(rx, fir, filtered);
+        let DemodScratch { filtered, buf } = scratch;
+        self.fir.filter_aligned_into(rx, filtered);
         let mut errors = 0u64;
         for (i, &tx_sym) in sent.iter().enumerate() {
             let start = i * ns;
@@ -253,8 +287,8 @@ impl Demodulator {
                 errors += (sent.len() - i) as u64;
                 break;
             }
-            let det = self.detect_with_buf(&filtered[start..start + ns], &self.up_ref, buf);
-            if det.symbol != tx_sym {
+            let (symbol, _) = self.peak_with_buf(&filtered[start..start + ns], &self.up_ref, buf);
+            if symbol != tx_sym {
                 errors += 1;
             }
         }
@@ -274,13 +308,13 @@ impl Demodulator {
         units: &mut Vec<u16>,
     ) {
         let ns = self.cfg.samples_per_symbol();
-        let DemodScratch { fir, filtered, buf } = scratch;
-        self.filter_core(rx, fir, filtered);
+        let DemodScratch { filtered, buf } = scratch;
+        self.fir.filter_aligned_into(rx, filtered);
         units.clear();
         units.extend(
             filtered
                 .chunks_exact(ns)
-                .map(|w| self.detect_with_buf(w, &self.up_ref, buf).symbol),
+                .map(|w| self.peak_with_buf(w, &self.up_ref, buf).0),
         );
     }
 
@@ -344,9 +378,10 @@ impl Demodulator {
             if pos < 0 || (pos as usize + ns) > rx.len() {
                 continue;
             }
-            let det = self.detect_with_buf(&rx[pos as usize..pos as usize + ns], &self.up_ref, buf);
-            if det.symbol == 0 && det.magnitude > best.1 {
-                best = (pos as usize, det.magnitude);
+            let (symbol, magnitude) =
+                self.peak_with_buf(&rx[pos as usize..pos as usize + ns], &self.up_ref, buf);
+            if symbol == 0 && magnitude > best.1 {
+                best = (pos as usize, magnitude);
             }
         }
         best.0
@@ -362,16 +397,16 @@ impl Demodulator {
     }
 
     /// [`Demodulator::demodulate`] against caller-owned scratch: the
-    /// batch path reuses the FIR state and the filtered/dechirp buffers
-    /// across captures. Bit-identical to the allocating route.
+    /// batch path reuses the filtered and dechirp buffers across
+    /// captures. Bit-identical to the allocating route.
     pub fn demodulate_with(
         &self,
         rx: &[Complex],
         scratch: &mut DemodScratch,
     ) -> Option<DemodFrame> {
         let ns = self.cfg.samples_per_symbol();
-        let DemodScratch { fir, filtered, buf } = scratch;
-        self.filter_core(rx, fir, filtered);
+        let DemodScratch { filtered, buf } = scratch;
+        self.fir.filter_aligned_into(rx, filtered);
         // one symbol of tail padding so a grid offset can't starve the
         // final symbol window
         filtered.extend(std::iter::repeat_n(Complex::ZERO, ns));
@@ -381,20 +416,27 @@ impl Demodulator {
         // window-by-window walk: the two consecutive downchirp windows
         // maximize (down-energy − up-energy) summed over the pair. The
         // search span covers the rest of the preamble plus the sync
-        // word from wherever the run-of-3 locked on.
+        // word from wherever the run-of-3 locked on. Candidate j's
+        // second window is candidate j+1's first, so its down/up peaks
+        // carry over and each candidate costs two detections, not four.
         let max_j = self.frame_params.preamble_len + 4;
         let mut best: Option<(usize, f64)> = None;
+        let mut down_up = |start: usize| {
+            let w = &filtered[start..start + ns];
+            let (_, down) = self.peak_with_buf(w, &self.down_ref, buf);
+            let (_, up) = self.peak_with_buf(w, &self.up_ref, buf);
+            (down, up)
+        };
+        let mut carried = None;
         for j in 1..=max_j {
             let start = pos + j * ns;
             if start + 2 * ns > filtered.len() {
                 break;
             }
-            let d0 = self.detect_with_buf(&filtered[start..start + ns], &self.down_ref, buf);
-            let d1 =
-                self.detect_with_buf(&filtered[start + ns..start + 2 * ns], &self.down_ref, buf);
-            let u0 = self.detect_with_buf(&filtered[start..start + ns], &self.up_ref, buf);
-            let u1 = self.detect_with_buf(&filtered[start + ns..start + 2 * ns], &self.up_ref, buf);
-            let score = d0.magnitude + d1.magnitude - u0.magnitude - u1.magnitude;
+            let (d0, u0) = carried.unwrap_or_else(|| down_up(start));
+            let (d1, u1) = down_up(start + ns);
+            carried = Some((d1, u1));
+            let score = d0 + d1 - u0 - u1;
             if best.map(|(_, s)| score > s).unwrap_or(true) {
                 best = Some((start, score));
             }
@@ -413,7 +455,7 @@ impl Demodulator {
         let mut symbols: Vec<u16> = Vec::new();
         for i in 0..8 {
             let w = &filtered[payload_start + i * ns..payload_start + (i + 1) * ns];
-            symbols.push(self.detect_with_buf(w, &self.up_ref, buf).symbol);
+            symbols.push(self.peak_with_buf(w, &self.up_ref, buf).0);
         }
         // decode just the header block to learn the payload length
         let payload_len = header_declared_len(&symbols, self.frame_params.code)?;
@@ -423,7 +465,7 @@ impl Demodulator {
         }
         for i in 8..total_syms {
             let w = &filtered[payload_start + i * ns..payload_start + (i + 1) * ns];
-            symbols.push(self.detect_with_buf(w, &self.up_ref, buf).symbol);
+            symbols.push(self.peak_with_buf(w, &self.up_ref, buf).0);
         }
         let dec = phy::decode(&symbols, self.frame_params.code)?;
         Some(DemodFrame {
@@ -435,6 +477,63 @@ impl Demodulator {
             symbols,
         })
     }
+}
+
+/// First bin of largest `hypot` magnitude, found hypot-free: pass one
+/// takes the largest `norm_sqr` in [`PEAK_LANES`] independent running
+/// maxima (order-free, since every `norm_sqr` is `+0` or more unless
+/// NaN), pass two takes `hypot` only on bins within [`PEAK_BAND`] of it,
+/// in index order. `None` when some bin is NaN or infinite, or the
+/// largest `norm_sqr` is outside [`PEAK_RANGE`]: the band argument does
+/// not hold there and the caller scans every bin.
+fn banded_peak(bins: &[Complex]) -> Option<(u16, f64)> {
+    // exact chunks let both passes vectorize; the tail is empty for the
+    // power-of-two bin counts the receiver uses
+    let chunks = bins.chunks_exact(PEAK_LANES);
+    let tail = chunks.remainder();
+    let mut lanes = [0.0f64; PEAK_LANES];
+    let mut nan = false;
+    for chunk in chunks.clone() {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            let p = v.norm_sqr();
+            nan |= p.is_nan();
+            *lane = if p > *lane { p } else { *lane };
+        }
+    }
+    let mut max = 0.0f64;
+    for p in lanes.into_iter().chain(tail.iter().map(|v| v.norm_sqr())) {
+        nan |= p.is_nan();
+        max = if p > max { p } else { max };
+    }
+    // an infinite bin makes `max` infinite, so the range test rejects it
+    if nan || !(PEAK_RANGE.0..=PEAK_RANGE.1).contains(&max) {
+        return None;
+    }
+    let floor = max - max * PEAK_BAND;
+    let mut best = (0u16, f64::MIN);
+    let mut consider = |s: usize, v: &Complex| {
+        if v.norm_sqr() >= floor {
+            let mag = v.abs();
+            if mag > best.1 {
+                best = (s as u16, mag);
+            }
+        }
+    };
+    for (c, chunk) in chunks.enumerate() {
+        if chunk
+            .iter()
+            .fold(false, |hit, v| hit | (v.norm_sqr() >= floor))
+        {
+            for (lane, v) in chunk.iter().enumerate() {
+                consider(c * PEAK_LANES + lane, v);
+            }
+        }
+    }
+    let body = bins.len() - tail.len();
+    for (i, v) in tail.iter().enumerate() {
+        consider(body + i, v);
+    }
+    Some(best)
 }
 
 /// Extract the declared payload length from a decoded header block
@@ -594,11 +693,28 @@ mod tests {
             d.symbol_errors_with(&sig, &syms, &mut scratch),
             d.symbol_errors(&sig, &syms)
         );
-        // and filter itself
-        let mut s2 = d.scratch();
-        let DemodScratch { fir, filtered, .. } = &mut s2;
-        d.filter_core(&sig, fir, filtered);
-        assert_eq!(*filtered, d.filter(&sig));
+        // and filter itself, through a scratch reused at another length
+        d.fir.filter_aligned_into(&sig, &mut scratch.filtered);
+        assert_eq!(scratch.filtered, d.filter(&sig));
+    }
+
+    #[test]
+    fn banded_peak_scans_a_ragged_tail() {
+        let rising: Vec<Complex> = (0..7).map(|i| Complex::new(i as f64, 1.0)).collect();
+        let tied: Vec<Complex> = (0..7).map(|i| Complex::new((i % 3) as f64, 1.0)).collect();
+        for bins in [rising, tied] {
+            for len in 1..=bins.len() {
+                let want = (0..len).fold((0u16, f64::MIN), |best, s| {
+                    let mag = bins[s].abs();
+                    if mag > best.1 {
+                        (s as u16, mag)
+                    } else {
+                        best
+                    }
+                });
+                assert_eq!(banded_peak(&bins[..len]), Some(want), "len {len}");
+            }
+        }
     }
 
     #[test]

@@ -322,8 +322,8 @@ impl PhyModem for LoraPerPhy {
         }
     }
 
-    /// Batch override: one demodulator scratch (FIR state, filtered
-    /// capture, dechirp/FFT buffer) shared across all captures.
+    /// Batch override: one demodulator scratch (filtered capture,
+    /// dechirp/FFT buffer) shared across all captures.
     /// Bit-identical to looping `demodulate`.
     fn demodulate_batch(&self, waveforms: &[&[Complex]]) -> Vec<DemodResult> {
         let (_, d) = self.modem();

@@ -18,6 +18,7 @@ use std::sync::{Condvar, Mutex};
 
 use tinysdr_dsp::cancel::CancelToken;
 
+use crate::clock::Clock;
 use crate::spec::{job_id, job_seq, JobRecord, JobSpec, JobState};
 
 /// Heap entry: max-heap on `(priority, Reverse(seq))` — highest
@@ -143,12 +144,18 @@ impl JobQueue {
     /// Block until a job is claimable (or the queue is closed). On a
     /// claim the record moves to `Running`, its attempt counter
     /// increments, and a fresh child of `shutdown` becomes its cancel
-    /// token. Returns `None` exactly when the queue has been closed —
-    /// the worker-exit signal.
+    /// token. A first claim stamps `started_ms` from `clock` at the
+    /// moment it takes the job — after any wait — so a job never starts
+    /// before it was submitted. Returns `None` exactly when the queue
+    /// has been closed — the worker-exit signal.
     ///
     /// # Panics
     /// Panics on a poisoned queue lock.
-    pub fn claim(&self, shutdown: &CancelToken, now_ms: u64) -> Option<(JobRecord, CancelToken)> {
+    pub fn claim(
+        &self,
+        shutdown: &CancelToken,
+        clock: &dyn Clock,
+    ) -> Option<(JobRecord, CancelToken)> {
         // lint: allow(unjustified-panic, poisoned scheduler lock is unrecoverable)
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
@@ -170,7 +177,7 @@ impl JobQueue {
                 rec.state = JobState::Running;
                 rec.attempts += 1;
                 if rec.started_ms == 0 {
-                    rec.started_ms = now_ms;
+                    rec.started_ms = clock.now_ms();
                 }
                 let snapshot = rec.clone();
                 inner.tokens.insert(entry.id, token.clone());
@@ -331,6 +338,7 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::FakeClock;
 
     fn perf(quick: bool) -> JobSpec {
         JobSpec::Perf { quick }
@@ -351,9 +359,36 @@ mod tests {
             2,
         );
         let order: Vec<String> = (0..3)
-            .map(|_| q.claim(&shutdown, 10).expect("claimable").0.id)
+            .map(|_| {
+                q.claim(&shutdown, &FakeClock::at(10))
+                    .expect("claimable")
+                    .0
+                    .id
+            })
             .collect();
         assert_eq!(order, vec![high.id, low1.id, low2.id]);
+    }
+
+    #[test]
+    fn idle_worker_stamps_start_when_it_takes_the_job() {
+        let q = std::sync::Arc::new(JobQueue::new());
+        let clock = FakeClock::at(100);
+        let worker = {
+            let (q, clock) = (q.clone(), clock.clone());
+            std::thread::spawn(move || q.claim(&CancelToken::new(), &clock))
+        };
+        // let the worker block on the empty queue before time moves on
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        clock.advance_ms(150);
+        let rec = q.submit(perf(true), 5, clock.now_ms());
+        let (claimed, _) = worker.join().expect("no panic").expect("claimable");
+        assert_eq!(claimed.id, rec.id);
+        assert!(
+            claimed.started_ms >= claimed.submitted_ms,
+            "started {} before submitted {}",
+            claimed.started_ms,
+            claimed.submitted_ms
+        );
     }
 
     #[test]
@@ -365,7 +400,7 @@ mod tests {
         let cancelled = q.cancel(&a.id, 3).expect("known id");
         assert_eq!(cancelled.state, JobState::Cancelled);
         assert_eq!(cancelled.finished_ms, 3);
-        let (claimed, _) = q.claim(&shutdown, 5).expect("b claimable");
+        let (claimed, _) = q.claim(&shutdown, &FakeClock::at(5)).expect("b claimable");
         assert_eq!(claimed.id, b.id);
         assert_eq!(claimed.attempts, 1);
     }
@@ -375,7 +410,7 @@ mod tests {
         let q = JobQueue::new();
         let shutdown = CancelToken::new();
         let a = q.submit(perf(true), 5, 0);
-        let (rec, token) = q.claim(&shutdown, 1).expect("claimable");
+        let (rec, token) = q.claim(&shutdown, &FakeClock::at(1)).expect("claimable");
         assert_eq!(rec.id, a.id);
         assert!(!token.is_cancelled());
         let after = q.cancel(&a.id, 2).expect("known id");
@@ -393,15 +428,15 @@ mod tests {
         let q = JobQueue::new();
         let shutdown = CancelToken::new();
         let first = q.submit(perf(true), 5, 0);
-        let (claimed, _) = q.claim(&shutdown, 1).expect("claimable");
+        let (claimed, _) = q.claim(&shutdown, &FakeClock::at(1)).expect("claimable");
         let second = q.submit(perf(false), 5, 2);
         let back = q.finish(&claimed.id, Outcome::Requeue, 3).expect("known");
         assert_eq!(back.state, JobState::Queued);
         // the requeued job kept seq 0, so it outranks the later submit
-        let (next, _) = q.claim(&shutdown, 4).expect("claimable");
+        let (next, _) = q.claim(&shutdown, &FakeClock::at(4)).expect("claimable");
         assert_eq!(next.id, first.id);
         assert_eq!(next.attempts, 2, "resume leg is a second attempt");
-        let (last, _) = q.claim(&shutdown, 5).expect("claimable");
+        let (last, _) = q.claim(&shutdown, &FakeClock::at(5)).expect("claimable");
         assert_eq!(last.id, second.id);
     }
 
@@ -412,14 +447,14 @@ mod tests {
         let waiter = {
             let q = q.clone();
             let shutdown = shutdown.clone();
-            std::thread::spawn(move || q.claim(&shutdown, 0).is_none())
+            std::thread::spawn(move || q.claim(&shutdown, &FakeClock::at(0)).is_none())
         };
         q.submit(perf(true), 5, 0); // will sit queued
         q.close();
         // claim may race the submit and grab the job before close; both
         // terminal answers are fine for the *next* claim:
         assert!(
-            q.claim(&shutdown, 1).is_none(),
+            q.claim(&shutdown, &FakeClock::at(1)).is_none(),
             "closed queue must not claim"
         );
         let _ = waiter.join().expect("no panic");
@@ -444,7 +479,7 @@ mod tests {
         ]);
         assert_eq!(requeued.len(), 2);
         // the interrupted Running job resumes first (earlier seq)
-        let (first, _) = q.claim(&shutdown, 1).expect("claimable");
+        let (first, _) = q.claim(&shutdown, &FakeClock::at(1)).expect("claimable");
         assert!(first.id.starts_with("job-000001"));
         // new submissions continue the id sequence past the restored max
         let fresh = q.submit(perf(false), 5, 9);

@@ -57,7 +57,7 @@ pub fn worker_loop(
     clock: &dyn Clock,
     shutdown: &CancelToken,
 ) {
-    while let Some((rec, token)) = queue.claim(shutdown, clock.now_ms()) {
+    while let Some((rec, token)) = queue.claim(shutdown, clock) {
         store.save_record(&rec).ok();
         let result = run_job(&rec, &token, store);
         let outcome = match result {
@@ -321,7 +321,7 @@ mod tests {
             clock.now_ms(),
         );
         // first leg: claim, run, observe the interrupt-requeue
-        let (leg1, token1) = queue.claim(&shutdown, clock.now_ms()).expect("claim");
+        let (leg1, token1) = queue.claim(&shutdown, &clock).expect("claim");
         assert_eq!(leg1.attempts, 1);
         assert!(matches!(
             run_job(&leg1, &token1, &store),
@@ -362,7 +362,7 @@ mod tests {
             5,
             clock.now_ms(),
         );
-        let (leg1, _token1) = queue.claim(&shutdown, clock.now_ms()).expect("claim");
+        let (leg1, _token1) = queue.claim(&shutdown, &clock).expect("claim");
         // a shutdown-shaped interruption mid-run: the fuse trips on the
         // second cancel poll, i.e. after the first block claim, so the
         // engine has a merged frontier to checkpoint when it stops
@@ -402,7 +402,7 @@ mod tests {
             5,
             clock.now_ms(),
         );
-        let (leg, token) = queue.claim(&shutdown, clock.now_ms()).expect("claim");
+        let (leg, token) = queue.claim(&shutdown, &clock).expect("claim");
         // cancel arrives while the job is "running": it trips the
         // job's claim token, which the sweep observes before a curve
         queue.cancel(&rec.id, clock.now_ms());
