@@ -24,7 +24,7 @@ use tinysdr_ble::modem::BleBerPhy;
 use tinysdr_dsp::complex::Complex;
 use tinysdr_dsp::nco::ideal_tone;
 use tinysdr_lora::demodulator::Demodulator;
-use tinysdr_lora::modem::LoraSerPhy;
+use tinysdr_lora::modem::{LoraPerPhy, LoraSerPhy};
 use tinysdr_lora::modulator::Modulator;
 use tinysdr_lora::packet::Frame;
 use tinysdr_ota::json::Value;
@@ -88,10 +88,14 @@ fn gate_chain_bit_identity() {
 }
 
 /// Gate 1b: every modem's batch overrides are bit-identical to the
-/// scalar loop they amortize.
+/// scalar loop they amortize — on clean waveforms, and on the captures
+/// where the receivers' decisions are close calls: AWGN at the modem's
+/// sensitivity anchor, captures with NaN samples, and all-zero
+/// captures (every template or bin ties).
 fn gate_batch_bit_identity() {
     let phys: Vec<Box<dyn PhyModem>> = vec![
         Box::new(LoraSerPhy::new(8, 125e3)),
+        Box::new(LoraPerPhy::new(8, 125e3, 1)),
         Box::new(BleBerPhy::new(4)),
         Box::new(ZigbeePhy::new(2)),
     ];
@@ -109,7 +113,23 @@ fn gate_batch_bit_identity() {
         for (frame, wave) in refs.iter().zip(&waves) {
             assert_eq!(*wave, phy.modulate(frame), "{} modulate_batch", phy.label());
         }
-        let slices: Vec<&[Complex]> = waves.iter().map(|w| w.as_slice()).collect();
+        let awgn = ImpairmentChain::new(phy.noise_figure_db());
+        let mut captures = waves.clone();
+        for (seed, wave) in waves.iter().enumerate() {
+            captures.push(awgn.apply(
+                wave,
+                phy.sensitivity_anchor_dbm(),
+                phy.sample_rate_hz(),
+                seed as u64,
+            ));
+            let mut nan = wave.clone();
+            for z in nan.iter_mut().skip(seed * 7 + 3).step_by(997) {
+                *z = Complex::new(f64::NAN, z.im);
+            }
+            captures.push(nan);
+            captures.push(vec![Complex::ZERO; wave.len()]);
+        }
+        let slices: Vec<&[Complex]> = captures.iter().map(|w| w.as_slice()).collect();
         for (iq, rx) in slices.iter().zip(phy.demodulate_batch(&slices)) {
             assert_eq!(rx, phy.demodulate(iq), "{} demodulate_batch", phy.label());
         }
@@ -406,7 +426,10 @@ pub fn perf(quick: bool) {
     println!("== Hot-path perf: allocation-free batched DSP, gated trajectories ==\n");
     let report = measure_perf(quick);
     println!("gate: apply_into == prepared replay == apply, bit-identical (all nine stages)");
-    println!("gate: modulate_batch/demodulate_batch == scalar loops, bit-identical (3 PHYs)");
+    println!(
+        "gate: modulate_batch/demodulate_batch == scalar loops, bit-identical \
+         (4 PHYs; clean, sensitivity-level AWGN, NaN and all-zero captures)"
+    );
 
     let (lora, ble, zigbee) = (&report.lora, &report.ble, &report.zigbee);
     println!(

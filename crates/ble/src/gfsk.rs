@@ -10,6 +10,7 @@
 //! Fig. 12 BER curve.
 
 use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::correlator::CorrelatorBank;
 use tinysdr_dsp::gaussian::GaussianFilter;
 
 /// BLE 4.0 bit rate, bit/s.
@@ -119,7 +120,7 @@ impl GfskScratch {
 pub struct GfskDemodulator {
     sps: usize,
     /// The 8 three-bit GFSK waveforms, index = (b₋₁ << 2)|(b₀ << 1)|b₊₁.
-    templates: Vec<Vec<Complex>>,
+    bank: CorrelatorBank<8>,
 }
 
 impl GfskDemodulator {
@@ -127,13 +128,11 @@ impl GfskDemodulator {
     pub fn new(sps: usize) -> Self {
         assert!(sps >= 2);
         let m = GfskModulator::new(sps);
-        let templates = (0..8u8)
-            .map(|p| {
-                let bits = [(p >> 2) & 1, (p >> 1) & 1, p & 1];
-                m.modulate(&bits)
-            })
-            .collect();
-        GfskDemodulator { sps, templates }
+        let bank = CorrelatorBank::new(std::array::from_fn(|p| {
+            let p = p as u8;
+            m.modulate(&[(p >> 2) & 1, (p >> 1) & 1, p & 1])
+        }));
+        GfskDemodulator { sps, bank }
     }
 
     /// Instantaneous frequency estimate: arg(x\[n\]·conj(x\[n−1\])).
@@ -169,26 +168,13 @@ impl GfskDemodulator {
         for i in 0..n_bits {
             // 3-bit window centered on bit i (clamped at the edges)
             let start = (i.saturating_sub(1)) * sps;
+            // the window never outruns the 3-bit templates; a truncated
+            // tail window correlates against their heads
             let slice_end = (start + win).min(x.len());
-            let slice = &x[start..slice_end];
             // at the left edge the center bit sits in the first position
             let center_shift = if i == 0 { 0 } else { 1 };
-            let mut best = (0u8, f64::MIN);
-            for (p, t) in self.templates.iter().enumerate() {
-                // the window never outruns the 3-bit template
-                // (`slice.len() <= 3*sps == t.len()`), so a plain zip
-                // accumulates the exact same products in the same order
-                let mut c = Complex::ZERO;
-                for (&s, &tv) in slice.iter().zip(t) {
-                    c += s * tv.conj();
-                }
-                let m = c.norm_sqr();
-                if m > best.1 {
-                    let bit = ((p as u8) >> (2 - center_shift)) & 1;
-                    best = (bit, m);
-                }
-            }
-            out.push(best.0);
+            let (p, _) = self.bank.strongest(&x[start..slice_end]);
+            out.push(((p as u8) >> (2 - center_shift)) & 1);
         }
     }
 
@@ -211,7 +197,7 @@ impl GfskDemodulator {
             return None;
         }
         let mut best = (0usize, f64::MIN);
-        for off in 0..disc.len() - n_pat {
+        for off in 0..=disc.len() - n_pat {
             let mut corr = 0.0;
             for (b, &p) in pattern.iter().enumerate() {
                 // mid-bit sample is the cleanest
@@ -406,6 +392,36 @@ mod tests {
             (off as i64 - 137).unsigned_abs() <= sps as u64,
             "offset {off} vs expected ~137"
         );
+    }
+
+    #[test]
+    fn access_address_search_scores_the_final_offset() {
+        // regression: the search stopped one offset short, so a pattern
+        // ending exactly at the capture's end was never scored
+        let sps = 4;
+        let m = GfskModulator::new(sps);
+        let d = GfskDemodulator::new(sps);
+        let pkt = crate::packet::AdvPacket::beacon([1, 2, 3, 4, 5, 6], b"edge").unwrap();
+        let mut sig = vec![Complex::ZERO; 61];
+        sig.extend(m.modulate(&pkt.to_bits(37)));
+        let aa = crate::packet::ACCESS_ADDRESS;
+        let off = d.find_access_address(&sig, aa).expect("AA found");
+        // cut the capture so that `off` is the last offset the pattern
+        // fits at; the scores of offsets up to it are unchanged
+        let n_pat = 40 * sps;
+        assert_eq!(d.find_access_address(&sig[..off + n_pat], aa), Some(off));
+    }
+
+    #[test]
+    fn access_address_search_rejects_a_capture_shorter_than_the_pattern() {
+        let sps = 4;
+        let d = GfskDemodulator::new(sps);
+        let sig = GfskModulator::new(sps).modulate(&[1u8; 40]);
+        let aa = crate::packet::ACCESS_ADDRESS;
+        assert_eq!(d.find_access_address(&sig[..40 * sps - 1], aa), None);
+        assert_eq!(d.find_access_address(&[], aa), None);
+        // exactly one pattern long: the single offset is scored
+        assert_eq!(d.find_access_address(&sig, aa), Some(0));
     }
 
     #[test]

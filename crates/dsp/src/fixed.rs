@@ -41,12 +41,29 @@ impl Quantizer {
         (1 << (self.bits - 1)) - 1
     }
 
-    /// Quantize a real value in `[-1, 1]` to an integer code, saturating
-    /// outside full scale.
+    /// Quantize a real value in `[-1, 1]` to an integer code: round half
+    /// away from zero, saturating outside full scale; NaN maps to 0.
+    ///
+    /// Equal to `(x * fs).round().clamp(-(fs + 1.0), fs) as i32` for
+    /// every input, without the libm `round` call that baseline x86-64
+    /// makes for `f64::round`. The clamp goes first: its bounds are
+    /// integers, which `round` fixes, and `round` is monotone, so the
+    /// two commute. Inside the bounds (`|v| < 2²⁴`) the truncating cast
+    /// is exact and so is the fraction `v - trunc(v)`, which then
+    /// decides the half-way step.
     #[inline]
     pub fn quantize(self, x: f64) -> i32 {
         let fs = self.max_code() as f64;
-        (x * fs).round().clamp(-(fs + 1.0), fs) as i32
+        let v = (x * fs).clamp(-(fs + 1.0), fs);
+        let t = v as i32;
+        let frac = v - t as f64;
+        if frac >= 0.5 {
+            t + 1
+        } else if frac <= -0.5 {
+            t - 1
+        } else {
+            t
+        }
     }
 
     /// Map an integer code back to a real value in `[-1, 1]`.

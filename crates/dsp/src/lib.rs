@@ -13,6 +13,9 @@
 //! * [`fft`] — an iterative radix-2 FFT with a reusable [`fft::FftPlan`],
 //!   standing in for the Lattice FFT IP core the paper instantiates per
 //!   spreading factor (§4.1).
+//! * [`correlator`] — [`correlator::CorrelatorBank`], `N` reference
+//!   waveforms correlated against a window in one pass: the template
+//!   bank behind the BLE GFSK and 802.15.4 chip-correlation receivers.
 //! * [`fir`] — FIR filtering and windowed-sinc design; the paper's LoRa
 //!   demodulator uses a 14-tap low-pass FIR in front of the dechirper.
 //! * [`gaussian`] — the Gaussian pulse-shaping filter used by BLE GFSK.
@@ -54,6 +57,7 @@
 pub mod cancel;
 pub mod chirp;
 pub mod complex;
+pub mod correlator;
 pub mod delay;
 pub mod event;
 pub mod fft;

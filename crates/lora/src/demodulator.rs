@@ -150,20 +150,8 @@ impl Demodulator {
         out
     }
 
-    /// Dechirp → FFT → full peak scan against a caller-owned working
-    /// buffer: the only detection that computes `mean_magnitude`.
-    fn detect_with_buf(
-        &self,
-        window: &[Complex],
-        reference: &[Complex],
-        buf: &mut Vec<Complex>,
-    ) -> SymbolDetection {
-        self.plan.forward_dechirp_into(window, reference, buf);
-        self.scan_spectrum(buf)
-    }
-
     /// Dechirp → FFT → peak-only search: `(symbol, magnitude)`,
-    /// bit-identical to the same fields of [`Self::detect_with_buf`].
+    /// bit-identical to the same fields of [`Self::detect_symbol`].
     fn peak_with_buf(
         &self,
         window: &[Complex],
@@ -222,12 +210,51 @@ impl Demodulator {
         })
     }
 
+    /// The preamble detector's decision on one symbol spectrum
+    /// (`samples_per_symbol` FFT bins): the symbol when the full scan's
+    /// peak-to-mean [`SymbolDetection::quality`] reaches
+    /// [`Demodulator::preamble_quality`], else `None`.
+    ///
+    /// The decision is exact without the scan's `hypot` per bin: the
+    /// symbol and peak magnitude come from the banded peak search, and
+    /// the mean from `sqrt(norm_sqr)` summed in four lanes, which stays
+    /// within a relative 1e-12 of the scan's mean. Only a quality
+    /// within a relative 1e-9 of the threshold, an oversampled
+    /// spectrum, or a spectrum the banded search declines (non-finite
+    /// bins, peak out of range) takes the full scan.
+    ///
+    /// # Panics
+    /// Panics if `spectrum` is shorter than one symbol.
+    pub fn preamble_symbol(&self, spectrum: &[Complex]) -> Option<u16> {
+        let n = self.cfg.n_chips();
+        if self.cfg.osr == 1 {
+            let bins = &spectrum[..n];
+            if let Some((symbol, magnitude)) = banded_peak(bins) {
+                // the peak's `norm_sqr` is at least 1e-280, so the mean
+                // is positive and the quality finite
+                let quality = magnitude / (sqrt_norm_sum(bins) / n as f64);
+                let slack = quality * PEAK_BAND;
+                if quality - slack >= self.preamble_quality {
+                    return Some(symbol);
+                }
+                if quality + slack < self.preamble_quality {
+                    return None;
+                }
+            }
+        }
+        let det = self.scan_spectrum(spectrum);
+        (det.quality() >= self.preamble_quality).then_some(det.symbol)
+    }
+
     /// Detect the symbol in an aligned window (dechirp → FFT → peak).
     ///
     /// # Panics
     /// Panics if `window` is not exactly one symbol long.
     pub fn detect_symbol(&self, window: &[Complex]) -> SymbolDetection {
-        self.detect_with_buf(window, &self.up_ref, &mut Vec::new())
+        let mut buf = Vec::new();
+        self.plan
+            .forward_dechirp_into(window, &self.up_ref, &mut buf);
+        self.scan_spectrum(&buf)
     }
 
     /// Detect chirp direction by comparing up- and down-dechirped peaks
@@ -331,20 +358,21 @@ impl Demodulator {
         let mut run_start = 0usize;
         let mut k = 0usize;
         while (k + 1) * ns <= rx.len() {
-            let det = self.detect_with_buf(&rx[k * ns..(k + 1) * ns], &self.up_ref, buf);
-            if det.quality() >= self.preamble_quality {
+            self.plan
+                .forward_dechirp_into(&rx[k * ns..(k + 1) * ns], &self.up_ref, buf);
+            if let Some(symbol) = self.preamble_symbol(buf) {
                 // tolerate ±1 chip jitter between windows (quantized
                 // chirps + filter edges wobble the split-bin estimate)
                 let close = {
-                    let d = (det.symbol as i64 - run_sym as i64).rem_euclid(n);
+                    let d = (symbol as i64 - run_sym as i64).rem_euclid(n);
                     d <= 1 || d == n - 1
                 };
                 if run > 0 && close {
                     run += 1;
-                    run_sym = det.symbol;
+                    run_sym = symbol;
                 } else {
                     run = 1;
-                    run_sym = det.symbol;
+                    run_sym = symbol;
                     run_start = k;
                 }
                 if run >= needed {
@@ -534,6 +562,20 @@ fn banded_peak(bins: &[Complex]) -> Option<(u16, f64)> {
         consider(body + i, v);
     }
     Some(best)
+}
+
+/// `Σ sqrt(norm_sqr)` over `bins`, in [`PEAK_LANES`] running sums: the
+/// preamble decision's stand-in for the full scan's `Σ hypot`.
+fn sqrt_norm_sum(bins: &[Complex]) -> f64 {
+    let chunks = bins.chunks_exact(PEAK_LANES);
+    let tail: f64 = chunks.remainder().iter().map(|v| v.norm_sqr().sqrt()).sum();
+    let mut lanes = [0.0f64; PEAK_LANES];
+    for chunk in chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane += v.norm_sqr().sqrt();
+        }
+    }
+    lanes.iter().sum::<f64>() + tail
 }
 
 /// Extract the declared payload length from a decoded header block

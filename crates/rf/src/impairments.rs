@@ -399,37 +399,46 @@ impl ImpairmentChain {
         awgn.noise_only_into(prep.front.len(), fs, &mut prep.noise);
     }
 
-    /// Replay a prepared pass at one RSSI point: copy the front half,
-    /// scale to `rssi_dbm`, apply the precomputed fading blocks, add the
+    /// Replay a prepared pass at one RSSI point: scale the front half to
+    /// `rssi_dbm`, apply the precomputed fading blocks, add the
     /// precomputed noise vector, quantize. Must be called with the same
     /// chain that prepared `prep`; the output is then bit-identical to
     /// [`ImpairmentChain::apply`] at the same `(tx, rssi_dbm, fs, seed)`.
+    ///
+    /// Stages 6–8 run as one pass over the samples, each sample taking
+    /// the same operations in the same order as the stage-by-stage
+    /// passes of `apply_into`.
     pub fn apply_prepared_into(&self, prep: &PreparedPass, rssi_dbm: f64, out: &mut Vec<Complex>) {
-        out.clear();
-        out.extend_from_slice(&prep.front);
+        debug_assert_eq!(prep.noise.len(), prep.front.len());
         // 6. scale to the wanted RSSI — same arithmetic as
         // `normalize_power`, with the mean power cached across points
         // (it is a property of the front half alone)
         let p = prep.front_power;
-        if p > 0.0 {
-            let g = (dbm_to_mw(rssi_dbm) / p).sqrt();
-            for z in out.iter_mut() {
-                *z = z.scale(g);
-            }
-        }
-        // 7. fading: the same per-block coefficients `apply` would draw
-        if let Some(block) = prep.fading_block {
-            let len = out.len();
-            for (b, &h) in prep.fading.iter().enumerate() {
-                let i = b * block;
-                for z in out[i..(i + block).min(len)].iter_mut() {
-                    *z *= h;
+        let gain = (p > 0.0).then(|| (dbm_to_mw(rssi_dbm) / p).sqrt());
+        // without fading the whole capture is one block with no
+        // coefficient
+        let block = prep.fading_block.unwrap_or(usize::MAX);
+        out.clear();
+        out.reserve(prep.front.len());
+        for (b, (front, noise)) in prep
+            .front
+            .chunks(block)
+            .zip(prep.noise.chunks(block))
+            .enumerate()
+        {
+            // 7. fading: the same per-block coefficients `apply` would draw
+            let h = prep.fading.get(b).copied();
+            out.extend(front.iter().zip(noise).map(|(&z, &n)| {
+                let mut z = z;
+                if let Some(g) = gain {
+                    z = z.scale(g);
                 }
-            }
-        }
-        // 8. AWGN: the same per-sample draws `add_noise` would make
-        for (z, n) in out.iter_mut().zip(&prep.noise) {
-            *z += *n;
+                if let Some(h) = h {
+                    z *= h;
+                }
+                // 8. AWGN: the same per-sample draws `add_noise` would make
+                z + n
+            }));
         }
         // 9. ADC quantization
         self.quantize_in_place(out);

@@ -15,6 +15,7 @@
 //! 2.4 GHz PHY its processing gain.
 
 use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::correlator::CorrelatorBank;
 
 use crate::chips::{chip_sequence, CHIPS_PER_SYMBOL, CHIP_RATE};
 
@@ -162,15 +163,15 @@ impl OqpskScratch {
 pub struct OqpskDemodulator {
     spc: usize,
     /// The 16 single-symbol reference waveforms.
-    templates: Vec<Vec<Complex>>,
+    bank: CorrelatorBank<16>,
 }
 
 impl OqpskDemodulator {
     /// Receiver at `spc` samples per chip (must match the transmitter).
     pub fn new(spc: usize) -> Self {
         let m = OqpskModulator::new(spc);
-        let templates = (0..16u8).map(|s| m.modulate_symbols(&[s])).collect();
-        OqpskDemodulator { spc, templates }
+        let bank = CorrelatorBank::new(std::array::from_fn(|s| m.modulate_symbols(&[s as u8])));
+        OqpskDemodulator { spc, bank }
     }
 
     /// Samples per chip.
@@ -186,22 +187,15 @@ impl OqpskDemodulator {
     /// Detect one aligned symbol window: the index of the chip sequence
     /// with the largest `|correlation|` (noncoherent — invariant to the
     /// capture's carrier phase), plus that magnitude.
+    ///
+    /// The magnitude is `|correlation|²` over the first
+    /// `min(window.len(), ns + spc)` samples (the template length: the
+    /// symbol plus the chip period its last Q half-sine spills over); a
+    /// tie goes to the lower symbol, and an all-NaN window reads
+    /// `(0, f64::MIN)`.
     pub fn detect_symbol(&self, window: &[Complex]) -> (u8, f64) {
-        let mut best = (0u8, f64::MIN);
-        for (s, t) in self.templates.iter().enumerate() {
-            // zip stops at the shorter of window/template — the same
-            // pairs, in the same order, as the indexed loop with its
-            // explicit bounds check
-            let mut c = Complex::ZERO;
-            for (&x, &tv) in window.iter().zip(t) {
-                c += x * tv.conj();
-            }
-            let m = c.norm_sqr();
-            if m > best.1 {
-                best = (s as u8, m);
-            }
-        }
-        best
+        let (s, m) = self.bank.strongest(window);
+        (s as u8, m)
     }
 
     /// Demodulate an *aligned* capture into 4-bit symbols, one per full

@@ -4,21 +4,25 @@
 //! allocating reference **bit for bit** — buffer reuse is a
 //! performance seam, never a semantics seam. Plus steady-state
 //! no-allocation smoke checks on the sweep loop's buffers, and the
-//! LoRa receiver kernels (block FIR, fused dechirp→FFT, banded peak
-//! search, SFD window reuse) against the straightforward receiver kept
-//! in [`oracle`].
+//! receive kernels against the straightforward code kept in [`oracle`]:
+//! the LoRa receiver (block FIR, fused dechirp→FFT, banded peak search,
+//! SFD window reuse, the hypot-free preamble decision), the correlator
+//! bank behind the BLE GFSK and 802.15.4 receivers, and the libm-free
+//! ADC quantizer.
 
 use proptest::prelude::*;
 
-use tinysdr_ble::gfsk::{GfskModulator, GfskScratch};
+use tinysdr_ble::gfsk::{GfskDemodulator, GfskModulator, GfskScratch};
 use tinysdr_ble::modem::BleBerPhy;
 use tinysdr_dsp::chirp::{dechirp_into, ChirpConfig, ChirpDirection, ChirpGenerator};
 use tinysdr_dsp::complex::Complex;
+use tinysdr_dsp::correlator::CorrelatorBank;
 use tinysdr_dsp::delay::{
     fractional_delay, fractional_delay_into, resample_drift, resample_drift_into, DelayScratch,
 };
 use tinysdr_dsp::fft::FftPlan;
 use tinysdr_dsp::fir::{demod_frontend, Fir};
+use tinysdr_dsp::fixed::Quantizer;
 use tinysdr_dsp::gaussian::GaussianFilter;
 use tinysdr_lora::demodulator::Demodulator;
 use tinysdr_lora::modem::LoraSerPhy;
@@ -27,6 +31,7 @@ use tinysdr_rf::channel::{apply_delay, AwgnChannel};
 use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::PhyModem;
 use tinysdr_zigbee::modem::ZigbeePhy;
+use tinysdr_zigbee::oqpsk::{OqpskDemodulator, OqpskModulator};
 
 /// Deterministic pseudo-random I/Q signal from a seed (content-keyed,
 /// no ambient RNG — the workspace determinism rule).
@@ -43,11 +48,13 @@ fn tone(seed: u64, n: usize) -> Vec<Complex> {
         .collect()
 }
 
-/// The LoRa receiver as it stood before its kernels were rewritten:
-/// streaming FIR with flush-and-drain delay compensation, dechirp then
-/// a radix-2 FFT with a strided twiddle lookup, a `hypot` over every
-/// bin, and an SFD search that runs four detections per candidate. The
-/// fast receiver must match it bit for bit.
+/// The receive kernels as they stood before they were rewritten, which
+/// the fast ones must match bit for bit. The LoRa receiver: streaming
+/// FIR with flush-and-drain delay compensation, dechirp then a radix-2
+/// FFT with a strided twiddle lookup, a `hypot` over every bin (the
+/// preamble decision included), and an SFD search that runs four
+/// detections per candidate. The BLE and 802.15.4 receivers: one
+/// template at a time. The ADC quantizer: libm `round`, then clamp.
 mod oracle {
     use tinysdr_dsp::chirp::{dechirp_into, ChirpConfig, ChirpGenerator};
     use tinysdr_dsp::complex::Complex;
@@ -257,6 +264,80 @@ mod oracle {
                 symbols,
             })
         }
+    }
+
+    /// `Σ window[i] · conj(template[i])`, one template at a time, over
+    /// the pairs `zip` yields.
+    pub fn correlate(template: &[Complex], window: &[Complex]) -> Complex {
+        let mut c = Complex::ZERO;
+        for (&s, &tv) in window.iter().zip(template) {
+            c += s * tv.conj();
+        }
+        c
+    }
+
+    /// Every template's `|correlation|²`.
+    pub fn powers(templates: &[Vec<Complex>], window: &[Complex]) -> Vec<f64> {
+        templates
+            .iter()
+            .map(|t| correlate(t, window).norm_sqr())
+            .collect()
+    }
+
+    /// First index of the largest `|correlation|²`, and that value.
+    pub fn strongest(templates: &[Vec<Complex>], window: &[Complex]) -> (usize, f64) {
+        let mut best = (0usize, f64::MIN);
+        for (p, m) in powers(templates, window).into_iter().enumerate() {
+            if m > best.1 {
+                best = (p, m);
+            }
+        }
+        best
+    }
+
+    /// The eight 3-bit GFSK templates, index `(b₋₁ << 2)|(b₀ << 1)|b₊₁`.
+    pub fn gfsk_templates(sps: usize) -> Vec<Vec<Complex>> {
+        let m = tinysdr_ble::gfsk::GfskModulator::new(sps);
+        (0..8u8)
+            .map(|p| m.modulate(&[(p >> 2) & 1, (p >> 1) & 1, p & 1]))
+            .collect()
+    }
+
+    /// The sixteen single-symbol O-QPSK templates.
+    pub fn oqpsk_templates(spc: usize) -> Vec<Vec<Complex>> {
+        let m = tinysdr_zigbee::oqpsk::OqpskModulator::new(spc);
+        (0..16u8).map(|s| m.modulate_symbols(&[s])).collect()
+    }
+
+    /// `GfskDemodulator::demodulate`: per bit, the center bit of the
+    /// strongest template over the 3-bit window around it.
+    pub fn gfsk_demodulate(templates: &[Vec<Complex>], sps: usize, x: &[Complex]) -> Vec<u8> {
+        (0..x.len() / sps)
+            .map(|i| {
+                let start = i.saturating_sub(1) * sps;
+                let window = &x[start..(start + 3 * sps).min(x.len())];
+                let center_shift = if i == 0 { 0 } else { 1 };
+                ((strongest(templates, window).0 as u8) >> (2 - center_shift)) & 1
+            })
+            .collect()
+    }
+
+    /// `OqpskDemodulator::demodulate_symbols`: per symbol period, the
+    /// strongest template over the window plus its half-chip spill-over.
+    pub fn oqpsk_demodulate(templates: &[Vec<Complex>], spc: usize, x: &[Complex]) -> Vec<u8> {
+        let ns = 32 * spc;
+        (0..x.len() / ns)
+            .map(|i| {
+                let end = ((i + 1) * ns + spc).min(x.len());
+                strongest(templates, &x[i * ns..end]).0 as u8
+            })
+            .collect()
+    }
+
+    /// `Quantizer::quantize` with libm `round`, then the clamp.
+    pub fn quantize(bits: u32, x: f64) -> i32 {
+        let fs = ((1 << (bits - 1)) - 1) as f64;
+        (x * fs).round().clamp(-(fs + 1.0), fs) as i32
     }
 
     fn header_declared_len(symbols: &[u16], code: CodeParams) -> Option<usize> {
@@ -704,6 +785,307 @@ fn receiver_matches_oracle_frame_for_frame() {
                     d.demodulate_with(rx, &mut scratch),
                     want,
                     "SF{sf} OSR{osr} {name}"
+                );
+            }
+        }
+    }
+}
+
+/// Captures that put the correlation receivers' decisions on a knife
+/// edge, built from one clean waveform: AWGN at the modem's
+/// sensitivity anchor, NaN and ±Inf samples, all zeros, a tail cut
+/// mid-window, tails that end `1..=spill` samples past the last whole
+/// `unit` (a bit or a symbol) and are loud enough to decide the last
+/// window that reaches into them, and a real-valued (`im = 0`) noisy
+/// capture. Conjugate template pairs (GFSK bit patterns `p` and
+/// `7 − p`, 802.15.4 symbols `s` and `s + 8`) correlate with a real
+/// window to exactly equal magnitudes, so the last one is full of exact
+/// ties.
+fn knife_edge_captures(
+    clean: &[Complex],
+    phy: &dyn PhyModem,
+    seed: u64,
+    unit: usize,
+    spill: usize,
+) -> Vec<(&'static str, Vec<Complex>)> {
+    let noisy = ImpairmentChain::new(phy.noise_figure_db()).apply(
+        clean,
+        phy.sensitivity_anchor_dbm(),
+        phy.sample_rate_hz(),
+        seed,
+    );
+    let mut nan = noisy.clone();
+    for (k, z) in nan.iter_mut().enumerate().skip(5).step_by(97) {
+        *z = if k % 2 == 0 {
+            Complex::new(f64::NAN, z.im)
+        } else {
+            Complex::new(z.re, f64::NAN)
+        };
+    }
+    let mut inf = noisy.clone();
+    for (k, z) in inf.iter_mut().enumerate().skip(11).step_by(89) {
+        *z = Complex::new([f64::INFINITY, f64::NEG_INFINITY][k % 2], z.im);
+    }
+    let real: Vec<Complex> = noisy.iter().map(|z| Complex::new(z.re, 0.0)).collect();
+    let cut = noisy[..noisy.len() - noisy.len() / 7 - 3].to_vec();
+    let whole = (noisy.len() / unit - 1) * unit;
+    let loud_tails: Vec<_> = (1..=spill)
+        .map(|r| {
+            let mut tail = noisy[..whole + r].to_vec();
+            for z in &mut tail[whole..] {
+                *z = z.scale(1e3);
+            }
+            ("loud tail", tail)
+        })
+        .collect();
+    let mut captures = vec![
+        ("clean", clean.to_vec()),
+        ("noisy", noisy),
+        ("nan", nan),
+        ("inf", inf),
+        ("zero", vec![Complex::ZERO; clean.len()]),
+        ("cut", cut),
+        ("real", real),
+    ];
+    captures.extend(loud_tails);
+    captures
+}
+
+/// Windows of the receiver's own spans whose largest `|correlation|²`
+/// is reached by two templates at once.
+fn exact_ties(templates: &[Vec<Complex>], windows: impl Iterator<Item = Vec<Complex>>) -> usize {
+    windows
+        .filter(|w| {
+            let powers = oracle::powers(templates, w);
+            let max = powers.iter().copied().fold(f64::MIN, f64::max);
+            max > 0.0 && powers.iter().filter(|&&m| m == max).count() > 1
+        })
+        .count()
+}
+
+/// The GFSK receiver's correlator bank returns the per-template loop's
+/// bits at 2..=8 samples per bit: the strongest template and its
+/// `|correlation|²` bit for bit on windows of every length up to past
+/// the template, and every demodulated bit on clean, sensitivity-level,
+/// NaN, ±Inf, all-zero, tail-cut, loud-tail and exact-tie captures.
+#[test]
+fn gfsk_correlator_bank_matches_per_template_receiver() {
+    let phy = BleBerPhy::new(4);
+    for sps in 2usize..=8 {
+        let templates = oracle::gfsk_templates(sps);
+        let bank = CorrelatorBank::<8>::new(std::array::from_fn(|p| templates[p].clone()));
+        let d = GfskDemodulator::new(sps);
+        let bits: Vec<u8> = (0..400u64)
+            .map(|i| ((i * 7 + sps as u64) % 5 < 2) as u8)
+            .collect();
+        let clean = GfskModulator::new(sps).modulate(&bits);
+        let captures = knife_edge_captures(&clean, &phy, sps as u64, sps, sps - 1);
+        for (name, x) in &captures {
+            assert_eq!(
+                d.demodulate(x),
+                oracle::gfsk_demodulate(&templates, sps, x),
+                "sps {sps} {name}"
+            );
+            for (len, start) in (0..=3 * sps + 2).zip((0..).step_by(13)) {
+                let w = &x[start..start + len];
+                let (p, m) = bank.strongest(w);
+                let (want_p, want_m) = oracle::strongest(&templates, w);
+                assert_eq!(
+                    (p, m.to_bits()),
+                    (want_p, want_m.to_bits()),
+                    "sps {sps} {name} len {len}"
+                );
+            }
+        }
+        let real = &captures.iter().find(|(n, _)| *n == "real").unwrap().1;
+        let windows = (1..real.len() / sps)
+            .map(|i| real[(i - 1) * sps..(i + 2).min(real.len() / sps) * sps].to_vec());
+        assert!(
+            exact_ties(&templates, windows) > 0,
+            "sps {sps}: no exact ties"
+        );
+    }
+}
+
+/// The 802.15.4 receiver's correlator bank returns the per-template
+/// loop's symbol and `|correlation|²` bits at 2..=4 samples per chip on
+/// windows of every length up to past the template, and every symbol on
+/// clean, sensitivity-level, NaN, ±Inf, all-zero, tail-cut, loud-tail
+/// and exact-tie captures.
+#[test]
+fn oqpsk_correlator_bank_matches_per_template_receiver() {
+    for spc in 2usize..=4 {
+        let phy = ZigbeePhy::new(spc);
+        let templates = oracle::oqpsk_templates(spc);
+        let d = OqpskDemodulator::new(spc);
+        let symbols: Vec<u8> = (0..48usize).map(|i| ((i * 7 + spc) % 16) as u8).collect();
+        let clean = OqpskModulator::new(spc).modulate_symbols(&symbols);
+        let ns = d.samples_per_symbol();
+        let captures = knife_edge_captures(&clean, &phy, 100 + spc as u64, ns, spc);
+        for (name, x) in &captures {
+            assert_eq!(
+                d.demodulate_symbols(x),
+                oracle::oqpsk_demodulate(&templates, spc, x),
+                "spc {spc} {name}"
+            );
+            for (len, start) in (0..=ns + spc + 3).zip((0..).step_by(5)) {
+                let w = &x[start..start + len];
+                let (s, m) = d.detect_symbol(w);
+                let (want_s, want_m) = oracle::strongest(&templates, w);
+                assert_eq!(
+                    (s as usize, m.to_bits()),
+                    (want_s, want_m.to_bits()),
+                    "spc {spc} {name} len {len}"
+                );
+            }
+        }
+        let real = &captures.iter().find(|(n, _)| *n == "real").unwrap().1;
+        let windows = (0..real.len() / ns)
+            .map(|i| real[i * ns..((i + 1) * ns + spc).min(real.len())].to_vec());
+        assert!(
+            exact_ties(&templates, windows) > 0,
+            "spc {spc}: no exact ties"
+        );
+    }
+}
+
+/// `Quantizer::quantize` and `round_trip_iq` equal the libm-`round`
+/// reference for every word width: at and ±1–2 ulp around every code,
+/// every half-way point and both clamp edges (all codes up to 10 bits,
+/// a stride of them above), and on NaN, ±Inf, ±0, huge and subnormal
+/// inputs.
+#[test]
+fn quantizer_matches_libm_round_reference() {
+    for bits in 2u32..=24 {
+        let q = Quantizer::new(bits);
+        let fs = q.max_code() as f64;
+        let top = q.max_code() as i64 + 2;
+        let stride = if bits <= 10 { 1 } else { (top / 509) | 1 };
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+            5e-324,
+            -5e-324,
+            1e-310,
+            -1e-310,
+            f64::MIN_POSITIVE,
+        ];
+        let codes = (-top..=top).step_by(stride as usize).chain([
+            -top,
+            -top + 1,
+            -1,
+            0,
+            1,
+            top - 2,
+            top - 1,
+            top,
+        ]);
+        for k in codes {
+            for v in [k as f64, k as f64 + 0.5, k as f64 - 0.5] {
+                let x = v / fs;
+                for d in -2i64..=2 {
+                    // k ulp along x's own bit pattern (away from zero for
+                    // positive d); the zero code has no neighbours that way
+                    if x != 0.0 {
+                        xs.push(f64::from_bits((x.to_bits() as i64 + d) as u64));
+                    }
+                }
+                // the product itself ±1 ulp: the rounding boundary in v
+                xs.push(v.next_up() / fs);
+                xs.push(v.next_down() / fs);
+            }
+        }
+        for &x in &xs {
+            let want = oracle::quantize(bits, x);
+            assert_eq!(
+                q.quantize(x),
+                want,
+                "{bits} bits, x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+            let z = q.round_trip_iq(Complex::new(x, -x));
+            let want_im = oracle::quantize(bits, -x);
+            assert_eq!(
+                (z.re.to_bits(), z.im.to_bits()),
+                (
+                    (want as f64 / fs).to_bits(),
+                    (want_im as f64 / fs).to_bits()
+                ),
+                "{bits} bits round trip, x = {x:e}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// The preamble decision equals the full scan's
+    /// `magnitude / mean >= preamble_quality` with the threshold placed
+    /// on, one ulp either side of, and a relative 5e-10 and 3e-9 either
+    /// side of each spectrum's exact quality: inside the 1e-9 band only
+    /// the full-scan fallback can decide, since the approximate quality
+    /// differs from the exact one in its last bits. Adversarial spectra
+    /// (ties, zero, subnormal, NaN, ±Inf, range edges) at OSR 1 and 4.
+    #[test]
+    fn preamble_decision_matches_full_scan_at_the_threshold(seed in any::<u64>(), sf in 7u8..=12) {
+        let n = 1usize << sf;
+        for osr in [1usize, 4] {
+            let mut d = Demodulator::standard(sf, 125e3, osr, 1);
+            for kind in 0..SPECTRUM_KINDS {
+                let spec = adversarial_spectrum(kind, seed, n * osr);
+                let (symbol, magnitude, mean) = oracle::scan(&spec, n, osr);
+                let quality = if mean > 0.0 { magnitude / mean } else { f64::INFINITY };
+                for threshold in [
+                    quality,
+                    quality.next_up(),
+                    quality.next_down(),
+                    quality * (1.0 + 5e-10),
+                    quality * (1.0 - 5e-10),
+                    quality * (1.0 + 3e-9),
+                    quality * (1.0 - 3e-9),
+                    3.5,
+                ] {
+                    d.preamble_quality = threshold;
+                    prop_assert_eq!(
+                        d.preamble_symbol(&spec),
+                        (quality >= threshold).then_some(symbol),
+                        "kind {} osr {} threshold {:e} quality {:e}", kind, osr, threshold, quality
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// On captures with no frame in them — receiver noise alone, where
+/// every window goes through the preamble decision and is rejected —
+/// the receiver agrees with the oracle frame for frame at SF7–SF12
+/// (OSR 1; OSR 4 at SF7–8).
+#[test]
+fn receiver_matches_oracle_on_noise_only_captures() {
+    for sf in 7u8..=12 {
+        for osr in [1usize, 4] {
+            if osr > 1 && sf > 8 {
+                continue;
+            }
+            let d = Demodulator::standard(sf, 125e3, osr, 2);
+            let old = oracle::Receiver::new(sf, osr, 2);
+            let ns = (1usize << sf) * osr;
+            let mut scratch = d.scratch();
+            for seed in 0..3u64 {
+                let noise = AwgnChannel::new(6.0, 1000 * sf as u64 + seed)
+                    .noise_only(16 * ns + 5 * seed as usize, 125e3 * osr as f64);
+                assert_eq!(
+                    d.demodulate_with(&noise, &mut scratch),
+                    old.demodulate(&noise),
+                    "SF{sf} OSR{osr} seed {seed}"
                 );
             }
         }
