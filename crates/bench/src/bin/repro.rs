@@ -69,6 +69,12 @@ const QUICK: Effort = Effort {
     bits: 20_000,
 };
 
+/// Every experiment name `repro` runs; anything else is rejected
+/// before a single experiment starts.
+const EXPERIMENTS: &str = "all table1 table2 table3 table4 table5 table6 fig2 fig8 fig9 fig10 \
+    fig11 fig12 fig13 fig14 fig15a fig15b sec51 sec52 sec53 sec6 ablation waterfall energy \
+    campaign perf link";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -80,6 +86,13 @@ fn main() {
         .collect();
     if wanted.is_empty() {
         eprintln!("usage: repro [--quick] [--json] <all|table1..table6|fig2|fig8..fig15b|sec51..sec53|sec6|ablation|waterfall|energy|campaign|perf|link> ...");
+        std::process::exit(2);
+    }
+    if let Some(bad) = wanted
+        .iter()
+        .find(|w| !EXPERIMENTS.split_whitespace().any(|e| e == **w))
+    {
+        eprintln!("repro: unknown experiment '{bad}' (known: {EXPERIMENTS})");
         std::process::exit(2);
     }
     if args.iter().any(|a| a == "--json") {

@@ -7,7 +7,7 @@ use tinysdr_core::cost;
 use tinysdr_core::device::TinySdr;
 use tinysdr_core::platforms;
 use tinysdr_core::profile::{self, OperatingPoint};
-use tinysdr_core::testbed::Testbed;
+use tinysdr_core::testbed::{CampaignConfig, Testbed};
 use tinysdr_fpga::resources::paper_percent;
 use tinysdr_hw::flash::ImageSlot;
 use tinysdr_lora::fpga_map;
@@ -31,7 +31,6 @@ use crate::{print_facts, print_series, Series};
 /// invariant (empty ECDF, unpriced transition, malformed image): the
 /// reproduction must abort loudly rather than print nonsense.
 pub fn energy(nodes: usize, seed: u64, quick: bool) {
-    use tinysdr_core::testbed::CampaignConfig;
     use tinysdr_power::battery::Battery;
     use tinysdr_power::state::{self, OtaEnergyModel, PowerState};
 
@@ -217,39 +216,13 @@ pub fn energy(nodes: usize, seed: u64, quick: bool) {
     );
 }
 
-/// The energy-repro fleet campaign as a report object: `nodes` nodes
-/// downloading the paper's MCU image under `CampaignConfig::auto`
-/// with a streamed daily-update battery-life projection (1000 mAh
-/// LiPo, deep-sleep floor). Shared by `repro energy --json` and the
-/// testbed daemon's `energy-repro` jobs — one engine, so their reports
-/// are bit-identical for the same `(nodes, seed)`.
-pub fn energy_campaign(nodes: usize, seed: u64) -> tinysdr_core::testbed::CampaignReport {
-    let (tb, upd, cfg) = energy_setup(nodes, seed);
-    tb.run_campaign(&upd, &cfg)
-}
-
-/// [`energy_campaign`] with cooperative cancellation at campaign block
-/// boundaries — the testbed daemon's `energy-repro` job path. A token
-/// that never cancels yields a report bit-identical to
-/// [`energy_campaign`].
-pub fn energy_campaign_cancellable(
-    nodes: usize,
-    seed: u64,
-    cancel: &tinysdr_dsp::cancel::CancelToken,
-) -> tinysdr_core::testbed::CampaignRun {
-    let (tb, upd, cfg) = energy_setup(nodes, seed);
-    tb.run_campaign_cancellable(&upd, &cfg, cancel)
-}
-
-fn energy_setup(
-    nodes: usize,
-    seed: u64,
-) -> (
-    Testbed,
-    BlockedUpdate,
-    tinysdr_core::testbed::CampaignConfig,
-) {
-    use tinysdr_core::testbed::CampaignConfig;
+/// The energy-repro fleet campaign's inputs: `nodes` nodes
+/// downloading the paper's MCU image under `CampaignConfig::auto` with
+/// a streamed daily-update battery-life projection (1000 mAh LiPo,
+/// deep-sleep floor). `repro energy --json` and the testbed daemon's
+/// `energy-repro` jobs both run these through the one campaign engine,
+/// so their reports are bit-identical for the same `(nodes, seed)`.
+pub fn energy_setup(nodes: usize, seed: u64) -> (Testbed, BlockedUpdate, CampaignConfig) {
     use tinysdr_power::battery::Battery;
     use tinysdr_power::state;
     let tb = Testbed::with_nodes(nodes, seed);
@@ -262,11 +235,12 @@ fn energy_setup(
     (tb, upd, CampaignConfig::auto(seed).with_projection(proj))
 }
 
-/// [`energy_campaign`]'s canonical JSON summary — the exact document
-/// `repro energy --json` prints and an `energy-repro` daemon job
-/// stores.
+/// The energy-repro campaign's canonical JSON summary — the exact
+/// document `repro energy --json` prints and an `energy-repro` daemon
+/// job stores.
 pub fn energy_json(nodes: usize, seed: u64) -> tinysdr_ota::json::Value {
-    energy_campaign(nodes, seed).to_json()
+    let (tb, upd, cfg) = energy_setup(nodes, seed);
+    tb.run_campaign(&upd, &cfg).to_json()
 }
 
 /// Table 1: the SDR platform comparison.

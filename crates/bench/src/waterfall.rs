@@ -683,11 +683,7 @@ fn run_curve(
 /// Propagates a panic from any sweep shard: a dead shard must abort
 /// the sweep, or the determinism contract would hide missing points.
 pub fn run_waterfall(cfg: &WaterfallConfig) -> WaterfallReport {
-    match run_waterfall_inner(cfg, None) {
-        SweepRun::Complete(rep) => rep,
-        // without a token there is nothing to cancel the sweep
-        SweepRun::Cancelled { .. } => unreachable!("token-free sweep cannot be cancelled"),
-    }
+    run_waterfall_cancellable(cfg, &CancelToken::new()).expect_complete()
 }
 
 /// Outcome of a cancellable sweep.
@@ -723,19 +719,15 @@ impl SweepRun {
     }
 }
 
-/// [`run_waterfall`] with cooperative cancellation: `cancel` is
+/// The sweep engine, with cooperative cancellation: `cancel` is
 /// checked before each `scenario × impairment` curve (the sweep's
 /// natural unit of loss-free interruption). A token that is never
-/// cancelled changes nothing — the result is bit-identical to
-/// [`run_waterfall`].
+/// cancelled changes nothing — [`run_waterfall`] is this engine under
+/// a fresh token.
 ///
 /// # Panics
 /// Propagates a panic from any sweep shard, like [`run_waterfall`].
 pub fn run_waterfall_cancellable(cfg: &WaterfallConfig, cancel: &CancelToken) -> SweepRun {
-    run_waterfall_inner(cfg, Some(cancel))
-}
-
-fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> SweepRun {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let ctxs: Vec<Ctx> = (0..cfg.scenarios.len())
@@ -750,12 +742,16 @@ fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> S
     let total_curves = jobs.len();
     let done = AtomicUsize::new(0);
     let aborted = AtomicBool::new(false);
-
-    let points: Vec<SweepPoint> = if cfg.shards <= 1 {
+    // one worker's batch, stopping at the first curve boundary after
+    // the token trips (in this worker or any other)
+    let run_batch = |batch: &[CurveJob]| {
         let mut ws = WorkerScratch::default();
         let mut acc = Vec::new();
-        for j in &jobs {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
+        for j in batch {
+            if aborted.load(Ordering::Relaxed) {
+                break;
+            }
+            if cancel.is_cancelled() {
                 aborted.store(true, Ordering::Relaxed);
                 break;
             }
@@ -763,6 +759,10 @@ fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> S
             done.fetch_add(1, Ordering::Relaxed);
         }
         acc
+    };
+
+    let points: Vec<SweepPoint> = if cfg.shards <= 1 {
+        run_batch(&jobs)
     } else {
         let chunk = jobs.len().div_ceil(cfg.shards).max(1);
         thread::scope(|s| {
@@ -771,27 +771,7 @@ fn run_waterfall_inner(cfg: &WaterfallConfig, cancel: Option<&CancelToken>) -> S
             // impairment, ascending RSSI) grid order exactly
             let handles: Vec<_> = jobs
                 .chunks(chunk)
-                .map(|batch| {
-                    let ctxs = &ctxs;
-                    let done = &done;
-                    let aborted = &aborted;
-                    s.spawn(move |_| {
-                        let mut ws = WorkerScratch::default();
-                        let mut acc = Vec::new();
-                        for j in batch {
-                            if aborted.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if cancel.is_some_and(|c| c.is_cancelled()) {
-                                aborted.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            run_curve(cfg, ctxs, j, &mut ws, &mut acc);
-                            done.fetch_add(1, Ordering::Relaxed);
-                        }
-                        acc
-                    })
-                })
+                .map(|batch| s.spawn(|_| run_batch(batch)))
                 .collect();
             let mut acc = Vec::new();
             for h in handles {
@@ -901,39 +881,37 @@ mod tests {
     fn cancellable_sweep_matches_plain_and_cancels_at_curves() {
         let cfg = tiny();
         let plain = run_waterfall(&cfg);
-        // a live-but-never-cancelled token changes nothing
-        match run_waterfall_cancellable(&cfg, &CancelToken::new()) {
-            SweepRun::Complete(rep) => assert_eq!(rep, plain),
-            SweepRun::Cancelled { .. } => panic!("uncancelled token aborted the sweep"),
-        }
-        // a pre-cancelled token stops before the first curve
-        let tok = CancelToken::new();
-        tok.cancel();
-        match run_waterfall_cancellable(&cfg, &tok) {
-            SweepRun::Cancelled {
-                curves_done,
-                total_curves,
-            } => {
-                assert_eq!(curves_done, 0);
-                assert_eq!(total_curves, 2);
+        for shards in [1usize, 2] {
+            let cfg = cfg.clone().sharded(shards);
+            // a live-but-never-cancelled token changes nothing
+            match run_waterfall_cancellable(&cfg, &CancelToken::new()) {
+                SweepRun::Complete(rep) => assert_eq!(rep, plain, "{shards} shards"),
+                SweepRun::Cancelled { .. } => panic!("{shards} shards: live token aborted"),
             }
-            SweepRun::Complete(_) => panic!("cancelled token completed"),
-        }
-        // a fuse token trips between the two curves — one curve done
-        match run_waterfall_cancellable(&cfg, &CancelToken::cancelled_after(2)) {
-            SweepRun::Cancelled {
-                curves_done,
-                total_curves,
-            } => {
-                assert_eq!(curves_done, 1);
-                assert_eq!(total_curves, 2);
+            // a pre-cancelled token stops every worker before a curve
+            match run_waterfall_cancellable(&cfg, &CancelToken::cancelled_after(0)) {
+                SweepRun::Cancelled {
+                    curves_done,
+                    total_curves,
+                } => assert_eq!((curves_done, total_curves), (0, 2), "{shards} shards"),
+                SweepRun::Complete(_) => panic!("{shards} shards: cancelled token completed"),
             }
-            SweepRun::Complete(_) => panic!("fuse token completed"),
-        }
-        // sharded path: pre-cancelled token aborts every worker
-        match run_waterfall_cancellable(&cfg.clone().sharded(2), &tok) {
-            SweepRun::Cancelled { curves_done, .. } => assert_eq!(curves_done, 0),
-            SweepRun::Complete(_) => panic!("cancelled token completed sharded sweep"),
+            // a fuse tripping on the second poll leaves at most one
+            // curve done (exactly one sequentially)
+            match run_waterfall_cancellable(&cfg, &CancelToken::cancelled_after(2)) {
+                SweepRun::Cancelled {
+                    curves_done,
+                    total_curves,
+                } => {
+                    assert_eq!(total_curves, 2);
+                    if shards == 1 {
+                        assert_eq!(curves_done, 1);
+                    } else {
+                        assert!(curves_done <= 1, "{shards} shards: {curves_done}");
+                    }
+                }
+                SweepRun::Complete(_) => panic!("{shards} shards: fuse token completed"),
+            }
         }
     }
 

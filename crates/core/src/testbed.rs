@@ -24,10 +24,11 @@
 //!   memory is independent of node count ([`RetainMode::Exact`], the
 //!   default, retains per-node reports so paper-scale figures are
 //!   unchanged).
-//! * **Checkpoint/resume** — [`Testbed::run_campaign_checkpointed`]
-//!   persists the merged prefix through
-//!   [`tinysdr_ota::checkpoint`] and resumes a killed campaign
-//!   bit-identically to an uninterrupted run.
+//! * **Checkpoint/resume and cancellation** — [`Testbed::run_campaign_with`]
+//!   takes a [`RunControl`]: a checkpoint config persists the merged
+//!   prefix through [`tinysdr_ota::checkpoint`] and resumes a killed
+//!   campaign bit-identically to an uninterrupted run; a cancel token
+//!   stops the run at a block boundary.
 //!
 //! Two programming strategies are wired in: the paper's §3.4
 //! sequential unicast ([`Testbed::run_campaign`]) and the §7 broadcast
@@ -239,22 +240,32 @@ impl Testbed {
         h
     }
 
-    /// The scheduler core: claim blocks from the shared cursor, fold
-    /// them through the in-order merger, stop on interruption or
-    /// cooperative cancellation (checked at each block claim — the
-    /// block is the campaign's cancellation granularity).
-    #[allow(clippy::too_many_arguments)] // one shared scheduler context, threaded explicitly
-    fn scheduler_worker(
+    /// The pure block fold: workers (up to `cfg.shards`) claim blocks
+    /// past `m`'s frontier from a shared cursor and hand each finished
+    /// block to `m`, which merges strictly in block order. The fold
+    /// stops early only when `m` says so (stop-after reached, a
+    /// checkpoint write failed) or `cancel` trips — checked at each
+    /// block claim, the campaign's cancellation granularity. With
+    /// neither, every block is merged.
+    ///
+    /// # Panics
+    /// Propagates a panic from any campaign worker: losing a block's
+    /// nodes would silently skew every merged distribution.
+    fn fold_blocks(
         nodes: &[Node],
         update: &BlockedUpdate,
         cfg: &CampaignConfig,
-        nblocks: usize,
-        cursor: &AtomicUsize,
-        merger: &Mutex<InOrderMerger>,
-        abort: &AtomicBool,
+        m: InOrderMerger,
         cancel: Option<&CancelToken>,
-    ) {
-        loop {
+    ) -> InOrderMerger {
+        let nblocks = m.total_blocks;
+        let cursor = AtomicUsize::new(m.next_block);
+        let abort = AtomicBool::new(m.should_abort());
+        let workers = cfg
+            .shards
+            .clamp(1, nblocks.saturating_sub(m.next_block).max(1));
+        let merger = Mutex::new(m);
+        let work = || loop {
             if abort.load(Ordering::Relaxed) {
                 return;
             }
@@ -276,138 +287,20 @@ impl Testbed {
                 abort.store(true, Ordering::Relaxed);
                 return;
             }
-        }
-    }
-
-    /// Run a unicast campaign over a node slice with work stealing and
-    /// optional checkpointing. The single engine behind
-    /// [`Self::run_campaign`] and [`Self::run_campaign_checkpointed`].
-    fn run_campaign_blocks(
-        nodes: &[Node],
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-        ckpt: Option<&CheckpointConfig>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CampaignRun, CheckpointError> {
-        assert!(cfg.block_len >= 1, "block_len must be at least 1");
-        let nblocks = nodes.len().div_ceil(cfg.block_len);
-        let fingerprint = Self::campaign_fingerprint(nodes, update, cfg);
-
-        // resume from an existing checkpoint, if one matches
-        let mut start_block = 0usize;
-        let mut acc = BlockOut {
-            agg: NodeAggregate::new(cfg.retain, cfg.projection),
-            reports: Vec::new(),
         };
-        if let Some(ck) = ckpt {
-            if ck.path.exists() {
-                let saved = CampaignCheckpoint::read(&ck.path)?;
-                if saved.fingerprint != fingerprint {
-                    return Err(CheckpointError::Mismatch(
-                        "checkpoint belongs to a different campaign",
-                    ));
-                }
-                if saved.total_blocks != nblocks as u64 {
-                    return Err(CheckpointError::Mismatch(
-                        "checkpoint block count disagrees with campaign",
-                    ));
-                }
-                start_block = saved.merged_blocks as usize;
-                acc = BlockOut {
-                    agg: saved.agg,
-                    reports: saved.reports,
-                };
-            }
-        }
-
-        let merger = Mutex::new(InOrderMerger {
-            next_block: start_block,
-            acc,
-            pending: BTreeMap::new(),
-            ckpt: ckpt.map(|c| CkptState {
-                cfg: c.clone(),
-                fingerprint,
-                total_blocks: nblocks as u64,
-                last_written: start_block,
-            }),
-            failed: None,
-            stopped: false,
-        });
-        let cursor = AtomicUsize::new(start_block);
-        let abort = AtomicBool::new(false);
-        let remaining = nblocks.saturating_sub(start_block);
-        let workers = cfg.shards.clamp(1, remaining.max(1));
-
         if workers <= 1 {
-            Self::scheduler_worker(
-                nodes, update, cfg, nblocks, &cursor, &merger, &abort, cancel,
-            );
+            work();
         } else {
             crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|_| {
-                            Self::scheduler_worker(
-                                nodes, update, cfg, nblocks, &cursor, &merger, &abort, cancel,
-                            )
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // lint: allow(unjustified-panic, a panicked worker lost a block of nodes; propagating is correct)
-                    h.join().expect("campaign worker panicked");
+                for _ in 0..workers {
+                    s.spawn(|_| work());
                 }
             })
-            // lint: allow(unjustified-panic, scope only errors if a worker panicked after join, which join already surfaced)
-            .expect("campaign scope");
+            // lint: allow(unjustified-panic, a panicked worker lost a block of nodes; propagating is correct)
+            .expect("campaign worker panicked");
         }
-
         // lint: allow(unjustified-panic, a poisoned merger means a worker panicked; propagating is correct)
-        let mut m = merger.into_inner().expect("merger mutex poisoned");
-        if let Some(e) = m.failed.take() {
-            return Err(e);
-        }
-        if m.next_block < nblocks {
-            // stopped early (stop_after_blocks, or a cancel token seen
-            // at a block boundary): persist the merged frontier so a
-            // resume loses nothing
-            m.write_checkpoint()?;
-            if !m.stopped && cancel.is_some_and(|c| c.is_cancelled()) {
-                return Ok(CampaignRun::Cancelled {
-                    merged_blocks: m.next_block,
-                    total_blocks: nblocks,
-                });
-            }
-            return Ok(CampaignRun::Interrupted {
-                merged_blocks: m.next_block,
-                total_blocks: nblocks,
-            });
-        }
-        if m.ckpt.is_some() {
-            m.write_checkpoint()?;
-        }
-        Ok(CampaignRun::Complete(CampaignReport::from_blocks(m.acc)))
-    }
-
-    /// Run a unicast OTA campaign over a node subset, sharded per `cfg`.
-    ///
-    /// # Panics
-    /// Propagates a panic from any campaign worker: losing a block's
-    /// nodes would silently skew every merged distribution.
-    fn run_campaign_on(
-        nodes: &[Node],
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-    ) -> CampaignReport {
-        match Self::run_campaign_blocks(nodes, update, cfg, None, None) {
-            Ok(CampaignRun::Complete(rep)) => rep,
-            // without a checkpoint config or cancel token there is no
-            // I/O and no stop condition, so the engine cannot fail or
-            // stop early
-            Ok(CampaignRun::Interrupted { .. } | CampaignRun::Cancelled { .. }) | Err(_) => {
-                unreachable!("checkpoint-free campaign cannot stop early or fail")
-            }
-        }
+        merger.into_inner().expect("merger mutex poisoned")
     }
 
     /// Run a unicast OTA campaign: program every node with `update`.
@@ -415,70 +308,88 @@ impl Testbed {
     /// programs nodes back to back); with more shards the sessions are
     /// simulated by work-stealing workers under the determinism
     /// contract (the result is bit-identical to the sequential run).
+    ///
+    /// This is [`Self::run_campaign_with`] under the default
+    /// [`RunControl`]: with no checkpoint and no token nothing can stop
+    /// the fold or fail, so the report is returned directly.
     pub fn run_campaign(&self, update: &BlockedUpdate, cfg: &CampaignConfig) -> CampaignReport {
-        Self::run_campaign_on(&self.nodes, update, cfg)
+        Self::program_all(&self.nodes, update, cfg)
     }
 
-    /// Run a unicast campaign with periodic checkpoints, resuming from
-    /// `ckpt.path` when a matching checkpoint exists. A resumed run is
-    /// **bit-identical** to an uninterrupted one: the merged prefix is
-    /// restored from disk and the remaining blocks are recomputed from
-    /// their order-independent seed streams.
+    /// The control-free fold over a node slice: complete by
+    /// construction.
+    fn program_all(nodes: &[Node], update: &BlockedUpdate, cfg: &CampaignConfig) -> CampaignReport {
+        let m = InOrderMerger::new(nodes.len(), cfg);
+        let m = Self::fold_blocks(nodes, update, cfg, m, None);
+        CampaignReport::from_blocks(m.acc)
+    }
+
+    /// Run a unicast campaign under `ctl`, the engine's one
+    /// controllable entry point.
     ///
-    /// Errors surface as [`CheckpointError`]: I/O problems, corrupt
-    /// files, or a checkpoint written by a different campaign
-    /// configuration. With [`CheckpointConfig::stop_after_blocks`] set
-    /// the run stops early (writing a final checkpoint) and returns
-    /// [`CampaignRun::Interrupted`] — the kill half of the CI
-    /// kill/resume equality gate.
+    /// * `ctl.checkpoint` persists the merged prefix periodically and
+    ///   when the run ends, and resumes from a matching checkpoint
+    ///   **bit-identically** to an uninterrupted run (the remaining
+    ///   blocks replay their order-independent seed streams). With
+    ///   [`CheckpointConfig::stop_after_blocks`] the run stops after
+    ///   exactly that many blocks: [`CampaignRun::Interrupted`].
+    /// * `ctl.cancel` is checked at every block claim; a tripped token
+    ///   returns [`CampaignRun::Cancelled`], persisting the frontier
+    ///   first when checkpointing (the daemon's graceful shutdown).
+    ///
+    /// Only a checkpoint can fail: I/O, a corrupt file, or a checkpoint
+    /// of another campaign surface as [`CheckpointError`].
+    ///
+    /// # Panics
+    /// Propagates a panic from any campaign worker, like
+    /// [`Self::run_campaign`].
+    pub fn run_campaign_with(
+        &self,
+        update: &BlockedUpdate,
+        cfg: &CampaignConfig,
+        ctl: &RunControl,
+    ) -> Result<CampaignRun, CheckpointError> {
+        let mut m = InOrderMerger::new(self.nodes.len(), cfg);
+        if let Some(ck) = &ctl.checkpoint {
+            m = m.resume(ck, Self::campaign_fingerprint(&self.nodes, update, cfg))?;
+        }
+        let mut m = Self::fold_blocks(&self.nodes, update, cfg, m, ctl.cancel.as_ref());
+        if let Some(e) = m.failed.take() {
+            return Err(e);
+        }
+        // the final state of a complete run, or the frontier a resume
+        // starts from; a no-op without a checkpoint config
+        m.write_checkpoint()?;
+        let (merged_blocks, total_blocks) = (m.next_block, m.total_blocks);
+        Ok(if merged_blocks == total_blocks {
+            CampaignRun::Complete(CampaignReport::from_blocks(m.acc))
+        } else if m.stopped {
+            CampaignRun::Interrupted {
+                merged_blocks,
+                total_blocks,
+            }
+        } else {
+            // a fold that neither failed nor hit stop-after only stops
+            // short when the token trips
+            CampaignRun::Cancelled {
+                merged_blocks,
+                total_blocks,
+            }
+        })
+    }
+
+    /// [`Self::run_campaign_with`] with only a checkpoint config.
     pub fn run_campaign_checkpointed(
         &self,
         update: &BlockedUpdate,
         cfg: &CampaignConfig,
         ckpt: &CheckpointConfig,
     ) -> Result<CampaignRun, CheckpointError> {
-        Self::run_campaign_blocks(&self.nodes, update, cfg, Some(ckpt), None)
-    }
-
-    /// [`Self::run_campaign`] with cooperative cancellation: `cancel`
-    /// is checked at every block claim, and a cancelled run returns
-    /// [`CampaignRun::Cancelled`] with the merged frontier (nothing is
-    /// persisted — combine with a checkpoint config via
-    /// [`Self::run_campaign_checkpointed_cancellable`] when the
-    /// partial work should survive). A token that is never cancelled
-    /// changes nothing: the result is bit-identical to
-    /// [`Self::run_campaign`].
-    pub fn run_campaign_cancellable(
-        &self,
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-        cancel: &CancelToken,
-    ) -> CampaignRun {
-        match Self::run_campaign_blocks(&self.nodes, update, cfg, None, Some(cancel)) {
-            Ok(run) => run,
-            // lint: allow(unjustified-panic, without a checkpoint config the engine performs no I/O so Err is impossible)
-            Err(_) => unreachable!("checkpoint-free campaign cannot fail"),
-        }
-    }
-
-    /// [`Self::run_campaign_checkpointed`] with cooperative
-    /// cancellation. On cancellation the merged frontier is written to
-    /// `ckpt.path` first — the graceful-shutdown path of the testbed
-    /// daemon: cancel, checkpoint, and a later identical call resumes
-    /// bit-identically to an uninterrupted run.
-    pub fn run_campaign_checkpointed_cancellable(
-        &self,
-        update: &BlockedUpdate,
-        cfg: &CampaignConfig,
-        ckpt: &CheckpointConfig,
-        cancel: &CancelToken,
-    ) -> Result<CampaignRun, CheckpointError> {
-        Self::run_campaign_blocks(&self.nodes, update, cfg, Some(ckpt), Some(cancel))
-    }
-
-    /// Back-compat convenience: sequential unicast campaign.
-    pub fn ota_campaign(&self, update: &BlockedUpdate, seed: u64) -> CampaignReport {
-        self.run_campaign(update, &CampaignConfig::sequential(seed))
+        let ctl = RunControl {
+            checkpoint: Some(ckpt.clone()),
+            cancel: None,
+        };
+        self.run_campaign_with(update, cfg, &ctl)
     }
 
     /// Run the §7 broadcast strategy: one shared broadcast with
@@ -517,7 +428,7 @@ impl Testbed {
             .map(|(n, _)| n.clone())
             .collect();
         let straggler_ids: Vec<u32> = stragglers.iter().map(|n| n.id).collect();
-        let repaired = Self::run_campaign_on(&stragglers, update, &cfg.repair);
+        let repaired = Self::program_all(&stragglers, update, &cfg.repair);
         let total_time_s = broadcast.total_time_s + repaired.total_air_time_s();
         BroadcastCampaignReport {
             node_ids: self.nodes.iter().map(|n| n.id).collect(),
@@ -558,7 +469,6 @@ struct BlockOut {
 struct CkptState {
     cfg: CheckpointConfig,
     fingerprint: u64,
-    total_blocks: u64,
     last_written: usize,
 }
 
@@ -567,6 +477,7 @@ struct CkptState {
 /// interleaving — the same reassembly discipline a TCP receiver
 /// applies to out-of-order segments.
 struct InOrderMerger {
+    total_blocks: usize,
     next_block: usize,
     acc: BlockOut,
     pending: BTreeMap<usize, BlockOut>,
@@ -576,30 +487,85 @@ struct InOrderMerger {
 }
 
 impl InOrderMerger {
+    /// An empty merger for `nodes` nodes at block 0, without
+    /// checkpointing.
+    ///
+    /// # Panics
+    /// Panics on `cfg.block_len == 0` — an empty block can never make
+    /// progress.
+    fn new(nodes: usize, cfg: &CampaignConfig) -> Self {
+        assert!(cfg.block_len >= 1, "block_len must be at least 1");
+        InOrderMerger {
+            total_blocks: nodes.div_ceil(cfg.block_len),
+            next_block: 0,
+            acc: BlockOut {
+                agg: NodeAggregate::new(cfg.retain, cfg.projection),
+                reports: Vec::new(),
+            },
+            pending: BTreeMap::new(),
+            ckpt: None,
+            failed: None,
+            stopped: false,
+        }
+    }
+
+    /// Attach checkpointing, first restoring the merged prefix from
+    /// `ck.path` when a checkpoint exists there. A checkpoint written
+    /// by another campaign (fingerprint or block count) is refused.
+    fn resume(mut self, ck: &CheckpointConfig, fingerprint: u64) -> Result<Self, CheckpointError> {
+        if ck.path.exists() {
+            let saved = CampaignCheckpoint::read(&ck.path)?;
+            if saved.fingerprint != fingerprint {
+                return Err(CheckpointError::Mismatch(
+                    "checkpoint belongs to a different campaign",
+                ));
+            }
+            if saved.total_blocks != self.total_blocks as u64 {
+                return Err(CheckpointError::Mismatch(
+                    "checkpoint block count disagrees with campaign",
+                ));
+            }
+            self.next_block = saved.merged_blocks as usize;
+            self.acc = BlockOut {
+                agg: saved.agg,
+                reports: saved.reports,
+            };
+        }
+        self.ckpt = Some(CkptState {
+            cfg: ck.clone(),
+            fingerprint,
+            last_written: self.next_block,
+        });
+        self.stopped = self.stop_hit();
+        Ok(self)
+    }
+
+    /// `true` once the merged prefix reaches the stop-after count.
+    fn stop_hit(&self) -> bool {
+        self.ckpt
+            .as_ref()
+            .and_then(|ck| ck.cfg.stop_after_blocks)
+            .is_some_and(|n| self.next_block >= n)
+    }
+
     fn offer(&mut self, idx: usize, out: BlockOut) {
-        if self.failed.is_some() || self.stopped {
+        if self.should_abort() {
             return;
         }
         self.pending.insert(idx, out);
-        let mut progressed = false;
         while let Some(out) = self.pending.remove(&self.next_block) {
             self.acc.agg.merge(&out.agg);
             self.acc.reports.extend(out.reports);
             self.next_block += 1;
-            progressed = true;
-        }
-        if !progressed {
-            return;
+            // stop-after is exact: blocks already waiting past the
+            // stop point stay unmerged
+            if self.stop_hit() {
+                self.stopped = true;
+                return;
+            }
         }
         let Some(ck) = &self.ckpt else { return };
-        let stop_hit = ck
-            .cfg
-            .stop_after_blocks
-            .is_some_and(|n| self.next_block >= n);
-        let due = self.next_block - ck.last_written >= ck.cfg.every_blocks;
-        if stop_hit {
-            self.stopped = true;
-        } else if due {
+        if self.next_block - ck.last_written >= ck.cfg.every_blocks {
             if let Err(e) = self.write_checkpoint() {
                 self.failed = Some(e);
             }
@@ -625,7 +591,7 @@ impl InOrderMerger {
         let snapshot = CampaignCheckpoint {
             fingerprint: ck.fingerprint,
             merged_blocks: self.next_block as u64,
-            total_blocks: ck.total_blocks,
+            total_blocks: self.total_blocks as u64,
             agg: self.acc.agg.clone(),
             reports,
         };
@@ -716,8 +682,7 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Periodic-checkpoint configuration for
-/// [`Testbed::run_campaign_checkpointed`].
+/// Periodic-checkpoint configuration: [`RunControl::checkpoint`].
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint file path (written atomically via temp + rename).
@@ -747,7 +712,20 @@ impl CheckpointConfig {
     }
 }
 
-/// Outcome of a checkpointed campaign run.
+/// How a [`Testbed::run_campaign_with`] run may be stopped and
+/// persisted: two independent choices, neither of which changes what a
+/// completed run computes. The default (neither) is
+/// [`Testbed::run_campaign`].
+#[derive(Debug, Clone, Default)]
+pub struct RunControl {
+    /// Checkpoint the merged prefix, resume from it, and optionally
+    /// stop after a fixed number of blocks.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Cooperative cancellation, checked at every block claim.
+    pub cancel: Option<CancelToken>,
+}
+
+/// Outcome of [`Testbed::run_campaign_with`].
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // Complete is the common case; boxing it would tax every caller
 pub enum CampaignRun {
@@ -1336,7 +1314,7 @@ mod tests {
         let tb = Testbed::campus(11);
         let img = FirmwareImage::mcu("m", 20_000, 5);
         let upd = BlockedUpdate::build(&img);
-        let reports = tb.ota_campaign(&upd, 3);
+        let reports = tb.run_campaign(&upd, &CampaignConfig::sequential(3));
         // correlate RSSI with duration: weakest third vs strongest third
         let mut by_rssi: Vec<_> = tb
             .nodes
@@ -1498,7 +1476,7 @@ mod tests {
                     merged_blocks,
                     total_blocks,
                 } => {
-                    assert!(merged_blocks >= 2, "stopped at {merged_blocks}");
+                    assert_eq!(merged_blocks, 2, "stop-after must be exact");
                     assert_eq!(total_blocks, 5);
                 }
                 other => panic!("must stop after 2 blocks, got {other:?}"),
@@ -1726,9 +1704,11 @@ mod tests {
         let upd = BlockedUpdate::build(&FirmwareImage::mcu("cx", 6_000, 1));
         let cfg = CampaignConfig::sharded(5, 3).with_block_len(8);
         let plain = tb.run_campaign(&upd, &cfg);
-        let token = CancelToken::new();
-        let run = tb.run_campaign_cancellable(&upd, &cfg, &token);
-        match run {
+        let ctl = RunControl {
+            cancel: Some(CancelToken::new()),
+            ..RunControl::default()
+        };
+        match tb.run_campaign_with(&upd, &cfg, &ctl).expect("run") {
             CampaignRun::Complete(rep) => assert_eq!(rep, plain, "live token must be a no-op"),
             other => panic!("uncancelled run did not complete: {other:?}"),
         }
@@ -1740,12 +1720,12 @@ mod tests {
         let upd = BlockedUpdate::build(&FirmwareImage::mcu("cc", 6_000, 1));
         let token = CancelToken::new();
         token.cancel();
-        let run = tb.run_campaign_cancellable(
-            &upd,
-            &CampaignConfig::sequential(6).with_block_len(8),
-            &token,
-        );
-        match run {
+        let ctl = RunControl {
+            cancel: Some(token),
+            ..RunControl::default()
+        };
+        let cfg = CampaignConfig::sequential(6).with_block_len(8);
+        match tb.run_campaign_with(&upd, &cfg, &ctl).expect("run") {
             CampaignRun::Cancelled {
                 merged_blocks,
                 total_blocks,
@@ -1774,14 +1754,12 @@ mod tests {
         let path = dir.join("cancel_resume.ckpt");
         std::fs::remove_file(&path).ok();
         // the worker polls once per block claim; trip on the 6th poll
-        let token = CancelToken::cancelled_after(6);
+        let ctl = RunControl {
+            checkpoint: Some(CheckpointConfig::new(&path, 1000)),
+            cancel: Some(CancelToken::cancelled_after(6)),
+        };
         let run = tb
-            .run_campaign_checkpointed_cancellable(
-                &upd,
-                &cfg,
-                &CheckpointConfig::new(&path, 1000),
-                &token,
-            )
+            .run_campaign_with(&upd, &cfg, &ctl)
             .expect("cancelled run still writes its checkpoint");
         match run {
             CampaignRun::Cancelled { merged_blocks, .. } => {
@@ -1797,6 +1775,125 @@ mod tests {
             .expect_complete();
         assert_eq!(resumed, uninterrupted, "cancel + resume diverged");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_run_control_matches_run_campaign() {
+        // the entry point's contracts over controls {none, checkpoint,
+        // cancel, both} x shards {1, 3} x both retention modes: a run
+        // that completes is bit-identical to `run_campaign` (a live
+        // token changes nothing); a pre-cancelled token merges no
+        // block; a token that trips mid-run persists the merged
+        // frontier when checkpointing, and resuming from it completes
+        // bit-identically
+        let dir = std::env::temp_dir().join("tinysdr_core_run_control");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let tb = Testbed::with_nodes(32, 7);
+        let upd = BlockedUpdate::build(&FirmwareImage::mcu("rc", 6_000, 1));
+        for retain in [RetainMode::Exact, RetainMode::sketch()] {
+            for shards in [1usize, 3] {
+                let cfg = CampaignConfig::sharded(7, shards)
+                    .with_block_len(8)
+                    .with_retain(retain);
+                let plain = tb.run_campaign(&upd, &cfg);
+                for (checkpoint, cancel) in
+                    [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let case =
+                        format!("{retain:?}, {shards} shards, ckpt {checkpoint}, cancel {cancel}");
+                    let path = dir.join(format!(
+                        "{}_{shards}_{checkpoint}_{cancel}.ckpt",
+                        retain.is_exact()
+                    ));
+                    std::fs::remove_file(&path).ok();
+                    let control = |token: CancelToken| RunControl {
+                        checkpoint: checkpoint.then(|| CheckpointConfig::new(&path, 2)),
+                        cancel: cancel.then_some(token),
+                    };
+                    let run = tb
+                        .run_campaign_with(&upd, &cfg, &control(CancelToken::new()))
+                        .expect("run");
+                    assert_eq!(run.expect_complete(), plain, "{case}");
+                    assert_eq!(path.exists(), checkpoint, "{case}: final checkpoint");
+                    std::fs::remove_file(&path).ok();
+                    if !cancel {
+                        continue;
+                    }
+                    match tb
+                        .run_campaign_with(&upd, &cfg, &control(CancelToken::cancelled_after(0)))
+                        .expect("run")
+                    {
+                        CampaignRun::Cancelled {
+                            merged_blocks,
+                            total_blocks,
+                        } => assert_eq!((merged_blocks, total_blocks), (0, 4), "{case}"),
+                        other => panic!("{case}: expected Cancelled, got {other:?}"),
+                    }
+                    assert!(!path.exists(), "{case}: nothing merged, nothing written");
+                    // every worker polls once per block claim; the fuse
+                    // trips on the 4th poll, so at most 3 blocks merge
+                    // (exactly 3 sequentially)
+                    match tb
+                        .run_campaign_with(&upd, &cfg, &control(CancelToken::cancelled_after(4)))
+                        .expect("cancelled run still writes its checkpoint")
+                    {
+                        CampaignRun::Cancelled { merged_blocks, .. } if shards == 1 => {
+                            assert_eq!(merged_blocks, 3, "{case}")
+                        }
+                        CampaignRun::Cancelled { merged_blocks, .. } => {
+                            assert!(merged_blocks <= 3, "{case}: {merged_blocks}")
+                        }
+                        other => panic!("{case}: expected Cancelled, got {other:?}"),
+                    }
+                    if checkpoint {
+                        let resumed = tb
+                            .run_campaign_checkpointed(&upd, &cfg, &CheckpointConfig::new(&path, 2))
+                            .expect("resume")
+                            .expect_complete();
+                        assert_eq!(resumed, plain, "{case}: cancel + resume diverged");
+                        std::fs::remove_file(&path).ok();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merger_stops_exactly_at_stop_after_with_blocks_out_of_order() {
+        // regression: with several shards, blocks past the stop point
+        // can already wait in `pending` when the gap before them fills;
+        // the merger used to drain them all before testing the stop
+        let dir = std::env::temp_dir().join("tinysdr_core_merger_stop");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("never_written.ckpt");
+        std::fs::remove_file(&path).ok();
+        let cfg = CampaignConfig::sequential(1).with_block_len(8);
+        let block = || BlockOut {
+            agg: NodeAggregate::new(cfg.retain, cfg.projection),
+            reports: Vec::new(),
+        };
+        let ck = CheckpointConfig::new(&path, 1000).stop_after(2);
+        let mut m = InOrderMerger::new(40, &cfg)
+            .resume(&ck, 0)
+            .expect("no checkpoint to read");
+        for idx in [3, 1, 2] {
+            m.offer(idx, block());
+            assert_eq!(m.next_block, 0, "nothing merges before block 0");
+        }
+        m.offer(0, block());
+        assert_eq!(m.next_block, 2, "merged past stop_after(2)");
+        assert!(m.should_abort());
+        m.offer(4, block());
+        assert_eq!(m.next_block, 2, "a stopped merger takes no more blocks");
+        assert!(
+            !path.exists(),
+            "the final write belongs to the control layer"
+        );
+        // a stop point at or behind the start stops before any merge
+        let m = InOrderMerger::new(40, &cfg)
+            .resume(&CheckpointConfig::new(&path, 1000).stop_after(0), 0)
+            .expect("no checkpoint to read");
+        assert!(m.should_abort());
     }
 
     #[test]

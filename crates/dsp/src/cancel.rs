@@ -1,12 +1,14 @@
 //! Cooperative cancellation for long-running engines.
 //!
 //! A [`CancelToken`] is the workspace's one stop signal: the campaign
-//! scheduler checks it at block boundaries, the conformance sweep at
-//! curve boundaries, and the testbed daemon threads it from its
-//! shutdown path into every running job. Cancellation is *cooperative*
-//! — nothing is preempted; an engine observes the token at its natural
-//! checkpoint granularity and returns a typed `Cancelled` result, so
-//! partially merged state is never silently dropped mid-fold.
+//! engine (`Testbed::run_campaign_with`, handed the token in its
+//! `RunControl`) checks it at block boundaries, the conformance sweep
+//! (`run_waterfall_cancellable`) at curve boundaries, and the testbed
+//! daemon threads it from its shutdown path into every running job.
+//! Cancellation is *cooperative* — nothing is preempted; an engine
+//! observes the token at its natural checkpoint granularity and returns
+//! a typed `Cancelled` result, so partially merged state is never
+//! silently dropped mid-fold.
 //!
 //! Tokens form a tree: [`CancelToken::child`] makes a token that
 //! reports cancelled when either it *or its parent* is cancelled. A

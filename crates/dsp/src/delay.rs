@@ -78,10 +78,21 @@ impl DelayScratch {
     }
 }
 
-/// Delay a buffer by a (possibly fractional) number of samples using the
-/// default [`DEFAULT_TAPS`]-tap kernel. See [`fractional_delay_with`].
+/// Delay a buffer by `delay ≥ 0` samples: the output approximates
+/// `y[n] = x(n − delay)` with zeros assumed outside the input.
+///
+/// The integer part is an exact shift; the fractional part is windowed-
+/// sinc interpolation with the [`DEFAULT_TAPS`]-tap kernel (group delay
+/// compensated, so the output grid aligns with the input grid). The
+/// output is one sample longer than `x.len() + ceil(delay)` would
+/// suggest only when a fractional tail spills over.
+///
+/// # Panics
+/// Panics on negative `delay`.
 pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
-    fractional_delay_with(x, delay, DEFAULT_TAPS)
+    let mut out = Vec::new();
+    fractional_delay_into(x, delay, &mut DelayScratch::new(), &mut out);
+    out
 }
 
 /// [`fractional_delay`] into a caller-owned output buffer, reusing
@@ -150,24 +161,6 @@ fn fractional_delay_core(
     }
 }
 
-/// Delay a buffer by `delay ≥ 0` samples: the output approximates
-/// `y[n] = x(n − delay)` with zeros assumed outside the input.
-///
-/// The integer part is an exact shift; the fractional part is windowed-
-/// sinc interpolation with a `taps`-tap kernel (group delay compensated,
-/// so the output grid aligns with the input grid). The output is one
-/// sample longer than `x.len() + ceil(delay)` would suggest only when a
-/// fractional tail spills over.
-///
-/// # Panics
-/// Panics on negative `delay` or an even/zero `taps`.
-pub fn fractional_delay_with(x: &[Complex], delay: f64, taps: usize) -> Vec<Complex> {
-    let mut scratch = DelayScratch::new();
-    let mut out = Vec::new();
-    fractional_delay_core(x, delay, taps, &mut scratch, &mut out);
-    out
-}
-
 /// Resample a buffer as seen through a sample clock that runs `ppm`
 /// parts-per-million fast (positive `ppm`: the receiver clock ticks
 /// faster than nominal, so it reads the waveform slightly *ahead* each
@@ -176,19 +169,13 @@ pub fn fractional_delay_with(x: &[Complex], delay: f64, taps: usize) -> Vec<Comp
 /// Output sample `m` is the windowed-sinc interpolation of
 /// `x(m · (1 + ppm·1e-6))`; the output covers the input's full time
 /// span. Zero drift returns the input unchanged.
-pub fn resample_drift(x: &[Complex], ppm: f64) -> Vec<Complex> {
-    resample_drift_with(x, ppm, DEFAULT_TAPS)
-}
-
-/// [`resample_drift`] with an explicit kernel length.
 ///
 /// # Panics
-/// Panics if `taps` is even or zero, or the drift is so large the
-/// resampling ratio is non-positive (|ppm| must stay below 1e6).
-pub fn resample_drift_with(x: &[Complex], ppm: f64, taps: usize) -> Vec<Complex> {
-    let mut scratch = DelayScratch::new();
+/// Panics if the drift is so large the resampling ratio is
+/// non-positive (|ppm| must stay below 1e6).
+pub fn resample_drift(x: &[Complex], ppm: f64) -> Vec<Complex> {
     let mut out = Vec::new();
-    resample_drift_core(x, ppm, taps, &mut scratch, &mut out);
+    resample_drift_into(x, ppm, &mut DelayScratch::new(), &mut out);
     out
 }
 

@@ -18,10 +18,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tinysdr_bench::campaign::{bench_campaign_config, bench_update};
 use tinysdr_bench::perf::measure_perf;
-use tinysdr_bench::system_experiments::energy_campaign_cancellable;
+use tinysdr_bench::system_experiments::energy_setup;
 use tinysdr_bench::waterfall::{run_waterfall_cancellable, SweepRun, WaterfallConfig};
-use tinysdr_core::testbed::{CampaignConfig, CampaignRun, CheckpointConfig, Testbed};
+use tinysdr_core::testbed::{CampaignConfig, CampaignRun, CheckpointConfig, RunControl, Testbed};
 use tinysdr_dsp::cancel::CancelToken;
+use tinysdr_ota::blocks::BlockedUpdate;
 use tinysdr_ota::json::Value;
 
 use crate::clock::Clock;
@@ -106,7 +107,11 @@ fn dispatch(rec: &JobRecord, cancel: &CancelToken, store: &ArtifactStore) -> Run
             stop_after_blocks,
         } => run_campaign_job(rec, *nodes, *seed, *stop_after_blocks, cancel, store),
         JobSpec::Waterfall { seed, quick } => run_waterfall_job(rec, *seed, *quick, cancel, store),
-        JobSpec::EnergyRepro { nodes, seed } => run_energy_job(rec, *nodes, *seed, cancel, store),
+        // the same (testbed, update, config) `repro energy --json` runs
+        JobSpec::EnergyRepro { nodes, seed } => {
+            let setup = energy_setup(*nodes as usize, *seed);
+            run_engine(rec, setup, None, cancel, store)
+        }
         JobSpec::Perf { quick } => run_perf_job(rec, *quick, cancel, store),
         JobSpec::Link { seed, quick } => run_link_job(rec, *seed, *quick, cancel, store),
     }
@@ -124,9 +129,11 @@ fn run_campaign_job(
     store: &ArtifactStore,
 ) -> RunResult {
     let nodes = nodes as usize;
-    let tb = Testbed::with_nodes(nodes, seed);
-    let upd = bench_update();
-    let cfg = bench_campaign_config(seed);
+    let setup = (
+        Testbed::with_nodes(nodes, seed),
+        bench_update(),
+        bench_campaign_config(seed),
+    );
     // the checkpoint writer renames into the job directory; make sure
     // it exists even if the Running state.json write failed
     if let Err(e) = std::fs::create_dir_all(store.job_dir(&rec.id)) {
@@ -142,7 +149,25 @@ fn run_campaign_job(
             ckpt = ckpt.stop_after(n as usize);
         }
     }
-    match tb.run_campaign_checkpointed_cancellable(&upd, &cfg, &ckpt, cancel) {
+    run_engine(rec, setup, Some(ckpt), cancel, store)
+}
+
+/// Run a campaign-engine job (fleet campaign or energy repro) under the
+/// job's token and map the engine's outcome onto the job's: a complete
+/// run stores its report and ECDF tables and drops the job's
+/// checkpoint; a stop or a tripped token goes back to the worker loop.
+fn run_engine(
+    rec: &JobRecord,
+    (tb, upd, cfg): (Testbed, BlockedUpdate, CampaignConfig),
+    checkpoint: Option<CheckpointConfig>,
+    cancel: &CancelToken,
+    store: &ArtifactStore,
+) -> RunResult {
+    let ctl = RunControl {
+        checkpoint,
+        cancel: Some(cancel.clone()),
+    };
+    match tb.run_campaign_with(&upd, &cfg, &ctl) {
         Ok(CampaignRun::Complete(report)) => {
             if let Err(e) = store.save_json(&rec.id, "report.json", &report.to_json()) {
                 return RunResult::Failed(format!("report write: {e}"));
@@ -185,30 +210,6 @@ fn run_waterfall_job(
             }
         }
         SweepRun::Cancelled { .. } => RunResult::Cancelled,
-    }
-}
-
-/// The energy-reproduction campaign with its life-projection tables.
-fn run_energy_job(
-    rec: &JobRecord,
-    nodes: u64,
-    seed: u64,
-    cancel: &CancelToken,
-    store: &ArtifactStore,
-) -> RunResult {
-    match energy_campaign_cancellable(nodes as usize, seed, cancel) {
-        CampaignRun::Complete(report) => {
-            if let Err(e) = store.save_json(&rec.id, "report.json", &report.to_json()) {
-                return RunResult::Failed(format!("report write: {e}"));
-            }
-            match save_tables(store, &rec.id, report.ecdf_tables(ECDF_MAX_POINTS)) {
-                Ok(()) => RunResult::Done,
-                Err(e) => RunResult::Failed(format!("table write: {e}")),
-            }
-        }
-        CampaignRun::Cancelled { .. } => RunResult::Cancelled,
-        // no checkpoint config on this path, so Interrupted cannot occur
-        CampaignRun::Interrupted { .. } => RunResult::Failed("unexpected interrupt".into()),
     }
 }
 

@@ -9,7 +9,7 @@
 
 use tinysdr::ota::blocks::{reassemble, BlockedUpdate};
 use tinysdr::ota::image::FirmwareImage;
-use tinysdr::platform::testbed::Testbed;
+use tinysdr::platform::testbed::{CampaignConfig, Testbed};
 use tinysdr::power::battery::Battery;
 use tinysdr_hw::flash::{Flash, ImageSlot};
 use tinysdr_hw::mcu::Mcu;
@@ -38,7 +38,7 @@ fn main() {
     );
 
     // --- program everyone, sequentially like the paper's AP ---
-    let reports = tb.ota_campaign(&update, 99);
+    let reports = tb.run_campaign(&update, &CampaignConfig::sequential(99));
     let mut total_energy = 0.0;
     for (id, r) in reports.iter() {
         let node = &tb.nodes[*id as usize];
