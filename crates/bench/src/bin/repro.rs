@@ -303,11 +303,7 @@ fn run_json(wanted: &[&str], quick: bool) {
             } else {
                 WaterfallConfig::full(0xBEEF)
             };
-            let shards = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(2);
-            run_waterfall(&cfg.sharded(shards)).to_json()
+            run_waterfall(&cfg.sharded(tinysdr_bench::bench_shards())).to_json()
         }
         "campaign" => {
             let nodes = if quick { 20_000 } else { 1_000_000 };
@@ -341,10 +337,7 @@ fn run_waterfall_cmd(quick: bool, seed: u64) {
     } else {
         WaterfallConfig::full(seed)
     };
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
+    let shards = tinysdr_bench::bench_shards();
     let rep = run_waterfall(&cfg.clone().sharded(shards));
     if quick {
         let seq = run_waterfall(&cfg);

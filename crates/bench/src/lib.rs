@@ -22,7 +22,19 @@ pub mod link;
 pub mod perf;
 pub mod phy_experiments;
 pub mod system_experiments;
+pub mod trajectory;
 pub mod waterfall;
+
+/// Worker shards for the harness's sharded runs: the machine's
+/// parallelism, at least two so the sharded path is exercised even on
+/// one core. Every sharded run is bit-identical to sequential, so the
+/// value changes wall time only.
+pub fn bench_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .max(2)
+}
 
 /// A labelled series of `(x, y)` points — one curve of a figure.
 #[derive(Debug, Clone)]

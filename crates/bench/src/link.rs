@@ -41,6 +41,8 @@ use tinysdr_ota::seed::splitmix64;
 use tinysdr_rf::impairments::ImpairmentChain;
 use tinysdr_rf::phy::PhyModem;
 
+use crate::{bench_shards, trajectory};
+
 /// The modem carrying every `repro link` experiment: BLE GFSK at the
 /// radio's native 4 MS/s — the registry PHY with the shortest airtimes,
 /// so the packet layer's turnaround economics dominate, as they do on
@@ -99,13 +101,6 @@ fn effort(quick: bool) -> Effort {
             image_len: 20_000,
         }
     }
-}
-
-fn bench_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2)
 }
 
 /// A representative data frame (full 60-byte chunk) for PER
@@ -438,6 +433,63 @@ fn gate_determinism(seed: u64, quick: bool) {
     );
 }
 
+/// One goodput-curve point as a JSON row — the row `link_json`'s
+/// `goodput` array and `BENCH_link.json` both carry.
+fn goodput_row(p: &GoodputPoint) -> Value {
+    let arq = |r: &TransferReport| {
+        Value::Obj(vec![
+            ("completed".into(), Value::Bool(r.completed)),
+            ("goodput_bps".into(), Value::num(r.goodput_bps)),
+            ("duration_s".into(), Value::num(r.duration_s)),
+        ])
+    };
+    Value::Obj(vec![
+        ("rssi_dbm".into(), Value::num(p.rssi_dbm)),
+        ("data_loss".into(), Value::num(p.data_loss)),
+        ("ack_loss".into(), Value::num(p.ack_loss)),
+        ("stop_and_wait".into(), arq(&p.stop_and_wait)),
+        ("window8".into(), arq(&p.window8)),
+    ])
+}
+
+/// One multi-hop row as JSON, per-node energy split included — the
+/// row `link_json`'s `multihop` array and `BENCH_link.json` both carry.
+fn multihop_row(r: &MultiHopRow) -> Value {
+    let nodes = r
+        .report
+        .link
+        .sim
+        .nodes
+        .iter()
+        .map(|n| {
+            let tags = n.energy.by_tag();
+            Value::Obj(vec![
+                ("label".into(), Value::str(n.label.clone())),
+                ("finished".into(), Value::Bool(n.finished)),
+                ("energy_mj".into(), Value::num(n.energy.total_mj())),
+                (
+                    "radio_tx_mj".into(),
+                    Value::num(tags.get("radio_tx").copied().unwrap_or(0.0)),
+                ),
+                (
+                    "radio_rx_mj".into(),
+                    Value::num(tags.get("radio_rx").copied().unwrap_or(0.0)),
+                ),
+            ])
+        })
+        .collect();
+    Value::Obj(vec![
+        ("hops".into(), Value::num(r.hops as f64)),
+        ("completed".into(), Value::Bool(r.report.link.completed)),
+        ("image_ok".into(), Value::Bool(r.report.image_ok)),
+        ("stream_len".into(), Value::num(r.report.stream_len as f64)),
+        ("image_len".into(), Value::num(r.report.image_len as f64)),
+        ("duration_s".into(), Value::num(r.report.link.duration_s)),
+        ("goodput_bps".into(), Value::num(r.report.link.goodput_bps)),
+        ("nodes".into(), Value::Arr(nodes)),
+    ])
+}
+
 /// Build the canonical JSON document for a link run — the exact bytes
 /// `repro --json link` prints and a `tinysdr-testbedd` link job stores
 /// as `report.json` (one builder, so the two are bit-identical for the
@@ -446,178 +498,53 @@ pub fn link_json(seed: u64, quick: bool) -> Value {
     let shards = bench_shards();
     let curve = goodput_curve(seed, quick, shards);
     let rows = multihop_rows(seed, quick, shards);
-    let phy = link_phy();
-    let goodput = curve
-        .iter()
-        .map(|p| {
-            Value::Obj(vec![
-                ("rssi_dbm".into(), Value::num(p.rssi_dbm)),
-                ("data_loss".into(), Value::num(p.data_loss)),
-                ("ack_loss".into(), Value::num(p.ack_loss)),
-                (
-                    "stop_and_wait".into(),
-                    Value::Obj(vec![
-                        ("completed".into(), Value::Bool(p.stop_and_wait.completed)),
-                        (
-                            "goodput_bps".into(),
-                            Value::num(p.stop_and_wait.goodput_bps),
-                        ),
-                        ("duration_s".into(), Value::num(p.stop_and_wait.duration_s)),
-                    ]),
-                ),
-                (
-                    "window8".into(),
-                    Value::Obj(vec![
-                        ("completed".into(), Value::Bool(p.window8.completed)),
-                        ("goodput_bps".into(), Value::num(p.window8.goodput_bps)),
-                        ("duration_s".into(), Value::num(p.window8.duration_s)),
-                    ]),
-                ),
-            ])
-        })
-        .collect();
-    let multihop = rows
-        .iter()
-        .map(|r| {
-            let nodes = r
-                .report
-                .link
-                .sim
-                .nodes
-                .iter()
-                .map(|n| {
-                    let tags = n.energy.by_tag();
-                    Value::Obj(vec![
-                        ("label".into(), Value::str(n.label.clone())),
-                        ("finished".into(), Value::Bool(n.finished)),
-                        ("energy_mj".into(), Value::num(n.energy.total_mj())),
-                        (
-                            "radio_tx_mj".into(),
-                            Value::num(tags.get("radio_tx").copied().unwrap_or(0.0)),
-                        ),
-                        (
-                            "radio_rx_mj".into(),
-                            Value::num(tags.get("radio_rx").copied().unwrap_or(0.0)),
-                        ),
-                    ])
-                })
-                .collect();
-            Value::Obj(vec![
-                ("hops".into(), Value::num(r.hops as f64)),
-                ("completed".into(), Value::Bool(r.report.link.completed)),
-                ("image_ok".into(), Value::Bool(r.report.image_ok)),
-                ("stream_len".into(), Value::num(r.report.stream_len as f64)),
-                ("image_len".into(), Value::num(r.report.image_len as f64)),
-                ("duration_s".into(), Value::num(r.report.link.duration_s)),
-                ("goodput_bps".into(), Value::num(r.report.link.goodput_bps)),
-                ("nodes".into(), Value::Arr(nodes)),
-            ])
-        })
-        .collect();
     Value::Obj(vec![
         ("schema".into(), Value::num(1.0)),
         ("experiment".into(), Value::str("link")),
-        ("phy".into(), Value::str(phy.label())),
+        ("phy".into(), Value::str(link_phy().label())),
         ("seed".into(), Value::hex_u64(seed)),
         ("quick".into(), Value::Bool(quick)),
-        ("goodput".into(), Value::Arr(goodput)),
-        ("multihop".into(), Value::Arr(multihop)),
+        (
+            "goodput".into(),
+            Value::Arr(curve.iter().map(goodput_row).collect()),
+        ),
+        (
+            "multihop".into(),
+            Value::Arr(rows.iter().map(multihop_row).collect()),
+        ),
     ])
 }
 
-/// Format one f64 for the JSON writer (plain decimal, no locale;
-/// negative zero normalized so empty sums don't print `-0.000000`).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{:.6}", if x == 0.0 { 0.0 } else { x })
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Write the `BENCH_link.json` trajectory point (hand-rolled JSON: the
-/// workspace has no serializer dependency, by design).
-fn write_trajectory(
-    path: &str,
+/// The `BENCH_link.json` trajectory point: run facts, the curve's best
+/// window-8 goodput and knee, and the full goodput and multi-hop rows.
+fn trajectory_point(
     mode: &str,
     curve: &[GoodputPoint],
     rows: &[MultiHopRow],
     wall_s: f64,
-) -> std::io::Result<()> {
-    let best = curve
-        .iter()
-        .filter(|p| p.window8.completed)
+) -> Value {
+    let completing = || curve.iter().filter(|p| p.window8.completed);
+    let best = completing()
         .map(|p| p.window8.goodput_bps)
         .fold(0.0f64, f64::max);
-    let knee = curve
-        .iter()
-        .filter(|p| p.window8.completed)
+    // no completing point: infinite, written as `null`
+    let knee = completing()
         .map(|p| p.rssi_dbm)
         .fold(f64::INFINITY, f64::min);
-    let gp: Vec<String> = curve
-        .iter()
-        .map(|p| {
-            format!(
-                "      {{\"rssi_dbm\": {}, \"data_loss\": {}, \"ack_loss\": {}, \"sw_bps\": {}, \"w8_bps\": {}}}",
-                jnum(p.rssi_dbm),
-                jnum(p.data_loss),
-                jnum(p.ack_loss),
-                jnum(p.stop_and_wait.goodput_bps),
-                jnum(p.window8.goodput_bps),
-            )
-        })
-        .collect();
-    let mh: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let relay_mj: f64 = r
-                .report
-                .link
-                .sim
-                .nodes
-                .iter()
-                .filter(|n| n.label.starts_with("relay"))
-                .map(|n| n.energy.total_mj())
-                .sum();
-            format!(
-                "      {{\"hops\": {}, \"image_ok\": {}, \"duration_s\": {}, \"goodput_bps\": {}, \"relay_energy_mj\": {}}}",
-                r.hops,
-                r.report.image_ok,
-                jnum(r.report.link.duration_s),
-                jnum(r.report.link.goodput_bps),
-                jnum(relay_mj),
-            )
-        })
-        .collect();
-    let doc = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": 1,\n",
-            "  \"experiment\": \"link\",\n",
-            "  \"points\": [\n",
-            "    {{\n",
-            "      \"mode\": \"{mode}\",\n",
-            "      \"wall_s\": {wall_s},\n",
-            "      \"best_goodput_bps\": {best},\n",
-            "      \"lowest_completing_rssi_dbm\": {knee},\n",
-            "      \"goodput\": [\n{gp}\n      ],\n",
-            "      \"multihop\": [\n{mh}\n      ]\n",
-            "    }}\n",
-            "  ]\n",
-            "}}\n"
+    Value::Obj(vec![
+        ("mode".into(), Value::str(mode)),
+        ("wall_s".into(), Value::num(wall_s)),
+        ("best_goodput_bps".into(), Value::num(best)),
+        ("lowest_completing_rssi_dbm".into(), Value::num(knee)),
+        (
+            "goodput".into(),
+            Value::Arr(curve.iter().map(goodput_row).collect()),
         ),
-        mode = mode,
-        wall_s = jnum(wall_s),
-        best = jnum(best),
-        knee = if knee.is_finite() {
-            jnum(knee)
-        } else {
-            "null".into()
-        },
-        gp = gp.join(",\n"),
-        mh = mh.join(",\n"),
-    );
-    std::fs::write(path, doc)
+        (
+            "multihop".into(),
+            Value::Arr(rows.iter().map(multihop_row).collect()),
+        ),
+    ])
 }
 
 /// The `repro link` entry point: gates, goodput-vs-RSSI, multi-hop
@@ -687,7 +614,8 @@ pub fn link(seed: u64, quick: bool) {
 
     let mode = if quick { "quick" } else { "full" };
     let out = "BENCH_link.json";
-    match write_trajectory(out, mode, &curve, &rows, wall_s) {
+    let point = trajectory_point(mode, &curve, &rows, wall_s);
+    match trajectory::write(out, "link", vec![point]) {
         Ok(()) => println!("\ntrajectory point written to {out}"),
         Err(e) => println!("\ncould not write {out}: {e}"),
     }

@@ -14,10 +14,10 @@
 //!    modulate/demodulate workloads, measured with the scratch-reusing
 //!    APIs in steady state.
 //! 3. **Trajectory points** — the measurements land in
-//!    `BENCH_waterfall.json` and `BENCH_modem.json` next to the
-//!    recorded pre-refactor reference point, so the speedup the
-//!    restructure bought stays visible (and, in the full run, gated)
-//!    across commits.
+//!    `BENCH_waterfall.json` and `BENCH_modem.json` (written by
+//!    [`crate::trajectory`]) next to the recorded pre-refactor
+//!    reference point, so the speedup the restructure bought stays
+//!    visible (and, in the full run, gated) across commits.
 
 use tinysdr_ble::gfsk::{GfskDemodulator, GfskModulator, GfskScratch};
 use tinysdr_ble::modem::BleBerPhy;
@@ -32,6 +32,7 @@ use tinysdr_rf::impairments::{ChainScratch, ImpairmentChain, PreparedPass};
 use tinysdr_rf::phy::PhyModem;
 use tinysdr_zigbee::modem::ZigbeePhy;
 
+use crate::trajectory;
 use crate::waterfall::{run_waterfall, WaterfallConfig};
 
 /// Pre-refactor reference: wall time of the quick waterfall grid
@@ -329,67 +330,6 @@ fn measure_waterfall(iters: u32) -> (usize, f64) {
     (points, best)
 }
 
-/// Format one f64 for the JSON writer (plain decimal, no locale;
-/// non-finite serializes as `null`).
-fn jnum(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// One point of the waterfall perf trajectory.
-fn waterfall_point(label: &str, points: usize, wall_ms: f64, speedup: f64) -> String {
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"label\": \"{label}\",\n",
-            "      \"grid\": \"quick\",\n",
-            "      \"shards\": 1,\n",
-            "      \"grid_points\": {points},\n",
-            "      \"wall_ms\": {wall_ms},\n",
-            "      \"points_per_s\": {rate},\n",
-            "      \"speedup_vs_pre\": {speedup}\n",
-            "    }}"
-        ),
-        label = label,
-        points = points,
-        wall_ms = jnum(wall_ms),
-        rate = jnum(points as f64 / (wall_ms / 1e3)),
-        speedup = jnum(speedup),
-    )
-}
-
-/// One point of the modem perf trajectory.
-fn modem_point(label: &str, lora: &ModemPoint, ble: &ModemPoint, zigbee: &ModemPoint) -> String {
-    let fam = |name: &str, p: &ModemPoint, last: bool| {
-        format!(
-            "      \"{name}\": {{\"modulate_msps\": {}, \"demodulate_msps\": {}}}{}\n",
-            jnum(p.mod_msps),
-            jnum(p.demod_msps),
-            if last { "" } else { "," }
-        )
-    };
-    format!(
-        "    {{\n      \"label\": \"{label}\",\n{}{}{}    }}",
-        fam("lora_sf8_frame", lora, false),
-        fam("ble_beacon", ble, false),
-        fam("zigbee_16b_frame", zigbee, true),
-    )
-}
-
-/// Write a two-point (`pre`, `post`) trajectory file in the
-/// `BENCH_campaign.json` schema (hand-rolled JSON: the workspace has no
-/// serializer dependency, by design).
-fn write_trajectory(path: &str, experiment: &str, points: &[String]) -> std::io::Result<()> {
-    let body = points.join(",\n");
-    let doc = format!(
-        "{{\n  \"schema\": 1,\n  \"experiment\": \"{experiment}\",\n  \"points\": [\n{body}\n  ]\n}}\n"
-    );
-    std::fs::write(path, doc)
-}
-
 /// Run the bit-identity gates and the timed workloads, returning the
 /// measurements without printing anything — the shared engine behind
 /// `repro perf`, `repro perf --json`, and the testbed daemon's `perf`
@@ -452,35 +392,60 @@ pub fn perf(quick: bool) {
         points as f64 / (wall_ms / 1e3),
     );
 
-    let pre_modem = modem_point(
-        "pre-batching",
-        &ModemPoint {
-            mod_msps: PRE_LORA_MOD_MSPS,
-            demod_msps: PRE_LORA_DEMOD_MSPS,
-        },
-        &ModemPoint {
-            mod_msps: PRE_BLE_MOD_MSPS,
-            demod_msps: PRE_BLE_DEMOD_MSPS,
-        },
-        &ModemPoint {
-            mod_msps: PRE_ZIGBEE_MOD_MSPS,
-            demod_msps: PRE_ZIGBEE_DEMOD_MSPS,
-        },
-    );
-    let post_modem = modem_point("post-batching", lora, ble, zigbee);
-    match write_trajectory("BENCH_modem.json", "modem_perf", &[pre_modem, post_modem]) {
+    let pre = |mod_msps, demod_msps| ModemPoint {
+        mod_msps,
+        demod_msps,
+    };
+    let modem_points = [
+        (
+            "pre-batching",
+            [
+                pre(PRE_LORA_MOD_MSPS, PRE_LORA_DEMOD_MSPS),
+                pre(PRE_BLE_MOD_MSPS, PRE_BLE_DEMOD_MSPS),
+                pre(PRE_ZIGBEE_MOD_MSPS, PRE_ZIGBEE_DEMOD_MSPS),
+            ],
+        ),
+        ("post-batching", [lora.clone(), ble.clone(), zigbee.clone()]),
+    ]
+    .into_iter()
+    .map(|(label, [lora, ble, zigbee])| {
+        Value::Obj(vec![
+            ("label".into(), Value::str(label)),
+            ("lora_sf8_frame".into(), lora.to_json()),
+            ("ble_beacon".into(), ble.to_json()),
+            ("zigbee_16b_frame".into(), zigbee.to_json()),
+        ])
+    })
+    .collect();
+    match trajectory::write("BENCH_modem.json", "modem_perf", modem_points) {
         Ok(()) => println!("trajectory points written to BENCH_modem.json"),
         Err(e) => println!("could not write BENCH_modem.json: {e}"),
     }
 
-    let pre_wf = waterfall_point(
-        "pre-batching",
-        PRE_WATERFALL_POINTS,
-        PRE_WATERFALL_WALL_MS,
-        1.0,
-    );
-    let post_wf = waterfall_point("post-batching", points, wall_ms, speedup);
-    match write_trajectory("BENCH_waterfall.json", "waterfall_perf", &[pre_wf, post_wf]) {
+    let grid_point = |label: &str, points: usize, wall_ms: f64, speedup: f64| {
+        Value::Obj(vec![
+            ("label".into(), Value::str(label)),
+            ("grid".into(), Value::str("quick")),
+            ("shards".into(), Value::num(1.0)),
+            ("grid_points".into(), Value::num(points as f64)),
+            ("wall_ms".into(), Value::num(wall_ms)),
+            (
+                "points_per_s".into(),
+                Value::num(points as f64 / (wall_ms / 1e3)),
+            ),
+            ("speedup_vs_pre".into(), Value::num(speedup)),
+        ])
+    };
+    let waterfall_points = vec![
+        grid_point(
+            "pre-batching",
+            PRE_WATERFALL_POINTS,
+            PRE_WATERFALL_WALL_MS,
+            1.0,
+        ),
+        grid_point("post-batching", points, wall_ms, speedup),
+    ];
+    match trajectory::write("BENCH_waterfall.json", "waterfall_perf", waterfall_points) {
         Ok(()) => println!("trajectory points written to BENCH_waterfall.json"),
         Err(e) => println!("could not write BENCH_waterfall.json: {e}"),
     }

@@ -16,7 +16,7 @@
 //! ([`fractional_delay_kernel`]): an odd-length Hamming-windowed sinc
 //! evaluated at the fractional offset, normalized to unity DC gain. The
 //! kernel's integer group delay is compensated internally, so
-//! [`fractional_delay`] with an integer `delay` reproduces the plain
+//! [`fractional_delay_into`] with an integer `delay` reproduces the plain
 //! shift-by-n result exactly (up to the zero-padded edges).
 
 use crate::complex::Complex;
@@ -26,6 +26,7 @@ use crate::window::Window;
 /// Default interpolation kernel length (odd so the group delay is an
 /// integer number of samples and can be compensated exactly).
 pub const DEFAULT_TAPS: usize = 31;
+const _: () = assert!(DEFAULT_TAPS % 2 == 1, "kernel length must be odd");
 
 /// Windowed-sinc interpolation kernel for a fractional offset
 /// `mu ∈ [0, 1)`: tap `k` is `sinc(k − half + mu)` shaped by a Hamming
@@ -53,8 +54,8 @@ pub fn fractional_delay_kernel(mu: f64, taps: usize) -> Vec<f64> {
 ///
 /// Holding one `DelayScratch` per worker lets [`fractional_delay_into`]
 /// and [`resample_drift_into`] run with zero steady-state allocation.
-/// The cached window is identical to the one the allocating paths build
-/// per call, so buffer reuse cannot change a single bit of the output.
+/// The cached window is identical to a freshly built one, so buffer
+/// reuse cannot change a single bit of the output.
 #[derive(Debug, Clone, Default)]
 pub struct DelayScratch {
     taps: usize,
@@ -87,18 +88,9 @@ impl DelayScratch {
 /// output is one sample longer than `x.len() + ceil(delay)` would
 /// suggest only when a fractional tail spills over.
 ///
-/// # Panics
-/// Panics on negative `delay`.
-pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
-    let mut out = Vec::new();
-    fractional_delay_into(x, delay, &mut DelayScratch::new(), &mut out);
-    out
-}
-
-/// [`fractional_delay`] into a caller-owned output buffer, reusing
-/// `scratch` for the window and kernel. Bit-identical to the allocating
-/// path (same kernel, same accumulation order); zero steady-state
-/// allocation once the buffers have capacity.
+/// `out` is cleared first and `scratch` holds the window and kernel;
+/// a reused `out` and `scratch` give the same bits as fresh ones, with
+/// zero steady-state allocation once the buffers have capacity.
 ///
 /// # Panics
 /// Panics on negative `delay`.
@@ -108,16 +100,7 @@ pub fn fractional_delay_into(
     scratch: &mut DelayScratch,
     out: &mut Vec<Complex>,
 ) {
-    fractional_delay_core(x, delay, DEFAULT_TAPS, scratch, out);
-}
-
-fn fractional_delay_core(
-    x: &[Complex],
-    delay: f64,
-    taps: usize,
-    scratch: &mut DelayScratch,
-    out: &mut Vec<Complex>,
-) {
+    let taps = DEFAULT_TAPS;
     assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
     out.clear();
     let di = delay.floor() as usize;
@@ -128,7 +111,6 @@ fn fractional_delay_core(
         out.extend_from_slice(x);
         return;
     }
-    assert!(taps % 2 == 1, "kernel length must be odd, got {taps}");
     // same construction as `fractional_delay_kernel`, into reused storage
     scratch.window_for(taps);
     let DelayScratch { window, kernel, .. } = scratch;
@@ -170,35 +152,20 @@ fn fractional_delay_core(
 /// `x(m · (1 + ppm·1e-6))`; the output covers the input's full time
 /// span. Zero drift returns the input unchanged.
 ///
+/// `out` is cleared first and `scratch` holds the window; a reused
+/// `out` and `scratch` give the same bits as fresh ones, with zero
+/// steady-state allocation once the buffers have capacity.
+///
 /// # Panics
 /// Panics if the drift is so large the resampling ratio is
 /// non-positive (|ppm| must stay below 1e6).
-pub fn resample_drift(x: &[Complex], ppm: f64) -> Vec<Complex> {
-    let mut out = Vec::new();
-    resample_drift_into(x, ppm, &mut DelayScratch::new(), &mut out);
-    out
-}
-
-/// [`resample_drift`] into a caller-owned output buffer, reusing
-/// `scratch` for the window. Bit-identical to the allocating path; zero
-/// steady-state allocation once the buffers have capacity.
 pub fn resample_drift_into(
     x: &[Complex],
     ppm: f64,
     scratch: &mut DelayScratch,
     out: &mut Vec<Complex>,
 ) {
-    resample_drift_core(x, ppm, DEFAULT_TAPS, scratch, out);
-}
-
-fn resample_drift_core(
-    x: &[Complex],
-    ppm: f64,
-    taps: usize,
-    scratch: &mut DelayScratch,
-    out: &mut Vec<Complex>,
-) {
-    assert!(taps % 2 == 1, "kernel length must be odd, got {taps}");
+    let taps = DEFAULT_TAPS;
     let ratio = 1.0 + ppm * 1e-6;
     assert!(ratio > 0.0, "drift ratio must stay positive, got {ratio}");
     out.clear();
@@ -240,6 +207,20 @@ mod tests {
     use crate::complex::mean_power;
     use crate::nco::ideal_tone;
 
+    /// [`fractional_delay_into`] into a fresh buffer with fresh scratch.
+    fn delay_fresh(x: &[Complex], delay: f64) -> Vec<Complex> {
+        let mut out = Vec::new();
+        fractional_delay_into(x, delay, &mut DelayScratch::new(), &mut out);
+        out
+    }
+
+    /// [`resample_drift_into`] into a fresh buffer with fresh scratch.
+    fn drift_fresh(x: &[Complex], ppm: f64) -> Vec<Complex> {
+        let mut out = Vec::new();
+        resample_drift_into(x, ppm, &mut DelayScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn kernel_at_zero_offset_is_identity() {
         let h = fractional_delay_kernel(0.0, 31);
@@ -262,7 +243,7 @@ mod tests {
     #[test]
     fn integer_delay_is_exact_shift() {
         let x = ideal_tone(1e3, 100e3, 64);
-        let y = fractional_delay(&x, 5.0);
+        let y = delay_fresh(&x, 5.0);
         assert_eq!(y.len(), 69);
         for z in y.iter().take(5) {
             assert_eq!(*z, Complex::ZERO);
@@ -280,7 +261,7 @@ mod tests {
         let n = 2048;
         let x = ideal_tone(f, fs, n);
         for tau in [0.25, 0.5, 0.75] {
-            let y = fractional_delay(&x, tau);
+            let y = delay_fresh(&x, tau);
             // compare against the analytically delayed tone, skipping the
             // kernel-length edges
             let want = -std::f64::consts::TAU * f * tau / fs;
@@ -297,8 +278,8 @@ mod tests {
     fn two_half_sample_delays_equal_one_sample() {
         let fs = 1e6;
         let x = ideal_tone(30e3, fs, 1024);
-        let twice = fractional_delay(&fractional_delay(&x, 0.5), 0.5);
-        let once = fractional_delay(&x, 1.0);
+        let twice = delay_fresh(&delay_fresh(&x, 0.5), 0.5);
+        let once = delay_fresh(&x, 1.0);
         let mut err = 0.0f64;
         for m in 64..1024 - 64 {
             err = err.max((twice[m] - once[m]).abs());
@@ -309,7 +290,7 @@ mod tests {
     #[test]
     fn fractional_delay_preserves_midband_power() {
         let x = ideal_tone(40e3, 1e6, 4096);
-        let y = fractional_delay(&x, 0.37);
+        let y = delay_fresh(&x, 0.37);
         let p = mean_power(&y[64..4032]) / mean_power(&x[64..4032]);
         assert!((p - 1.0).abs() < 0.01, "power ratio {p}");
     }
@@ -317,7 +298,7 @@ mod tests {
     #[test]
     fn zero_drift_is_identity() {
         let x = ideal_tone(10e3, 1e6, 256);
-        assert_eq!(resample_drift(&x, 0.0), x);
+        assert_eq!(drift_fresh(&x, 0.0), x);
     }
 
     #[test]
@@ -328,7 +309,7 @@ mod tests {
         let f = 25e3;
         let n = 10_000;
         let x = ideal_tone(f, fs, n);
-        let y = resample_drift(&x, 100.0);
+        let y = drift_fresh(&x, 100.0);
         // near the end, y[m] ≈ x(m·1.0001): phase advanced by
         // 2π·f·(m·1e-4)/fs relative to x[m]
         let m = n - 200;
@@ -340,8 +321,8 @@ mod tests {
     #[test]
     fn negative_drift_lengthens_the_capture() {
         let x = ideal_tone(10e3, 1e6, 10_000);
-        let slow = resample_drift(&x, -5_000.0);
-        let fast = resample_drift(&x, 5_000.0);
+        let slow = drift_fresh(&x, -5_000.0);
+        let fast = drift_fresh(&x, 5_000.0);
         assert!(slow.len() > x.len(), "slow clock reads more samples");
         assert!(fast.len() < x.len(), "fast clock reads fewer samples");
     }
@@ -353,11 +334,11 @@ mod tests {
         let mut out = Vec::new();
         for delay in [0.0, 3.0, 0.25, 7.6] {
             fractional_delay_into(&x, delay, &mut scratch, &mut out);
-            assert_eq!(out, fractional_delay(&x, delay), "delay {delay}");
+            assert_eq!(out, delay_fresh(&x, delay), "delay {delay}");
         }
         for ppm in [0.0, 2.0, -40.0, 5_000.0] {
             resample_drift_into(&x, ppm, &mut scratch, &mut out);
-            assert_eq!(out, resample_drift(&x, ppm), "ppm {ppm}");
+            assert_eq!(out, drift_fresh(&x, ppm), "ppm {ppm}");
         }
     }
 
@@ -370,6 +351,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_delay() {
-        fractional_delay(&[Complex::ONE], -1.0);
+        delay_fresh(&[Complex::ONE], -1.0);
     }
 }

@@ -75,15 +75,9 @@ impl Fir {
         acc
     }
 
-    /// Filter a whole buffer (stateful: continues from previous samples).
-    pub fn process(&mut self, x: &[Complex]) -> Vec<Complex> {
-        let mut out = Vec::with_capacity(x.len());
-        self.process_into(x, &mut out);
-        out
-    }
-
-    /// [`Fir::process`] into a caller-owned buffer (cleared first) —
-    /// bit-identical, with zero allocation once `out` has capacity.
+    /// Filter a whole buffer into a caller-owned buffer (cleared first);
+    /// stateful, continuing from previous samples. Zero allocation once
+    /// `out` has capacity.
     pub fn process_into(&mut self, x: &[Complex], out: &mut Vec<Complex>) {
         out.clear();
         out.reserve(x.len());
@@ -236,7 +230,8 @@ mod tests {
         let x: Vec<Complex> = (0..32)
             .map(|i| Complex::new(i as f64, -(i as f64)))
             .collect();
-        let y = fir.process(&x);
+        let mut y = Vec::new();
+        fir.process_into(&x, &mut y);
         for n in 0..x.len() {
             let mut expect = Complex::ZERO;
             for (k, &t) in taps.iter().enumerate() {
@@ -252,7 +247,8 @@ mod tests {
     fn tone_attenuation_in_stopband() {
         let mut f = lowpass(14, 0.1, Window::Hamming);
         let tone = ideal_tone(0.35e6, 1.0e6, 4096); // 0.35 cyc/sample
-        let out = f.process(&tone);
+        let mut out = Vec::new();
+        f.process_into(&tone, &mut out);
         let att = mean_power(&out[64..]) / mean_power(&tone);
         assert!(att < 0.01, "stopband tone leaked: {att}");
     }

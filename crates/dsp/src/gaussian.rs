@@ -63,19 +63,13 @@ impl GaussianFilter {
     }
 
     /// Shape a ±1 NRZ bit sequence into a smoothed frequency trajectory at
-    /// `sps` samples per bit. The output length is
+    /// `sps` samples per bit, into a caller-owned buffer (cleared and
+    /// zero-filled first). The output length is
     /// `bits.len() * sps + taps.len() - 1` minus nothing — i.e. full
     /// convolution, so the caller should trim `delay()` samples of lead-in.
-    pub fn shape(&self, bits: &[i8], sps: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.shape_into(bits, sps, &mut out);
-        out
-    }
-
-    /// [`GaussianFilter::shape`] into a caller-owned buffer (cleared and
-    /// zero-filled first). Bit-identical, with zero allocation once
-    /// `out` has capacity — the batched GFSK modulator reuses one
-    /// trajectory buffer across a whole batch of frames.
+    /// Zero allocation once `out` has capacity — the batched GFSK
+    /// modulator reuses one trajectory buffer across a whole batch of
+    /// frames.
     pub fn shape_into(&self, bits: &[i8], sps: usize, out: &mut Vec<f64>) {
         // upsample by zero-order hold to keep pulse energy, then convolve
         // with the Gaussian kernel alone (taps already include the rect).
@@ -109,12 +103,18 @@ impl GaussianFilter {
 mod tests {
     use super::*;
 
+    fn shape(f: &GaussianFilter, bits: &[i8], sps: usize) -> Vec<f64> {
+        let mut y = Vec::new();
+        f.shape_into(bits, sps, &mut y);
+        y
+    }
+
     #[test]
     fn unit_plateau_for_bit_runs() {
         let sps = 8;
         let f = GaussianFilter::ble(sps);
         let bits = vec![1i8; 16];
-        let y = f.shape(&bits, sps);
+        let y = shape(&f, &bits, sps);
         // middle of the run must sit at +1.0
         let mid = 8 * sps + f.delay();
         assert!((y[mid] - 1.0).abs() < 1e-6, "plateau {}", y[mid]);
@@ -125,7 +125,7 @@ mod tests {
         let sps = 8;
         let f = GaussianFilter::ble(sps);
         let bits = [1i8, 1, 1, -1, -1, -1];
-        let y = f.shape(&bits, sps);
+        let y = shape(&f, &bits, sps);
         // max per-sample step must be much smaller than the 2.0 bit swing
         let max_step = y
             .windows(2)
@@ -151,7 +151,7 @@ mod tests {
         let loose = GaussianFilter::new(0.3, sps, 3);
         let bits = [-1i8, 1];
         let step = |f: &GaussianFilter| {
-            let y = f.shape(&bits, sps);
+            let y = shape(f, &bits, sps);
             y.windows(2)
                 .map(|w| (w[1] - w[0]).abs())
                 .fold(0.0, f64::max)
@@ -165,7 +165,7 @@ mod tests {
         let sps = 8;
         let f = GaussianFilter::ble(sps);
         let bits: Vec<i8> = (0..20).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
-        let y = f.shape(&bits, sps);
+        let y = shape(&f, &bits, sps);
         let peak = y[f.delay() + 5 * sps..f.delay() + 15 * sps]
             .iter()
             .fold(0.0f64, |a, &b| a.max(b.abs()));

@@ -672,7 +672,8 @@ mod tests {
     fn fails_gracefully_on_pure_noise() {
         let d = Demodulator::standard(8, 125e3, 1, 1);
         let mut ch = AwgnChannel::new(4.5, 3);
-        let noise = ch.noise_only(256 * 40, 125e3);
+        let mut noise = Vec::new();
+        ch.noise_only_into(256 * 40, 125e3, &mut noise);
         assert!(d.demodulate(&noise).is_none(), "noise must not decode");
     }
 

@@ -71,18 +71,12 @@ impl AwgnChannel {
         n_mw
     }
 
-    /// Generate `n` samples of pure receiver noise (no signal present),
-    /// for noise-only occupancy tests.
-    pub fn noise_only(&mut self, n: usize, fs: f64) -> Vec<Complex> {
-        let mut out = Vec::with_capacity(n);
-        self.noise_only_into(n, fs, &mut out);
-        out
-    }
-
-    /// [`AwgnChannel::noise_only`] into a caller-owned buffer (cleared
-    /// first). The draws are exactly the sequence [`AwgnChannel::add_noise`]
-    /// would add to a signal of length `n`, so a precomputed noise vector
-    /// added sample-by-sample is bit-identical to calling `add_noise`.
+    /// Generate `n` samples of pure receiver noise (no signal present)
+    /// into a caller-owned buffer (cleared first), for noise-only
+    /// occupancy tests. The draws are exactly the sequence
+    /// [`AwgnChannel::add_noise`] would add to a signal of length `n`, so
+    /// a precomputed noise vector added sample-by-sample is bit-identical
+    /// to calling `add_noise`.
     pub fn noise_only_into(&mut self, n: usize, fs: f64, out: &mut Vec<Complex>) {
         let n_mw = dbm_to_mw(noise_floor_dbm(fs, self.noise_figure_db));
         out.clear();
@@ -197,7 +191,8 @@ mod tests {
     fn noise_power_matches_physics() {
         let mut ch = AwgnChannel::new(6.0, 42);
         let fs = 1e6;
-        let noise = ch.noise_only(200_000, fs);
+        let mut noise = Vec::new();
+        ch.noise_only_into(200_000, fs, &mut noise);
         let p_dbm = mw_to_dbm(mean_power(&noise));
         let expect = thermal_noise_dbm(fs) + 6.0;
         assert!((p_dbm - expect).abs() < 0.1, "noise {p_dbm} vs {expect}");
@@ -211,7 +206,8 @@ mod tests {
         for (i, &fs) in [125e3, 500e3, 4e6].iter().enumerate() {
             for (j, &nf) in [3.0, 4.5, 6.7, 7.0].iter().enumerate() {
                 let mut ch = AwgnChannel::new(nf, 1000 + (i * 7 + j) as u64);
-                let noise = ch.noise_only(150_000, fs);
+                let mut noise = Vec::new();
+                ch.noise_only_into(150_000, fs, &mut noise);
                 let got = mw_to_dbm(mean_power(&noise));
                 let want = noise_floor_dbm(fs, nf);
                 assert!(
@@ -228,7 +224,8 @@ mod tests {
         // reading it back must agree over the full sweep span, for both
         // a tone and a noise-like waveform
         let mut ch = AwgnChannel::new(0.0, 55);
-        let noise_like = ch.noise_only(8192, 1e6);
+        let mut noise_like = Vec::new();
+        ch.noise_only_into(8192, 1e6, &mut noise_like);
         let tone = ideal_tone(3000.0, 1e6, 8192);
         for rssi in [-140.0, -126.0, -109.0, -94.0, -60.0, 0.0] {
             for base in [&tone, &noise_like] {
@@ -272,7 +269,8 @@ mod tests {
     #[test]
     fn noise_is_complex_circular() {
         let mut ch = AwgnChannel::new(0.0, 9);
-        let noise = ch.noise_only(100_000, 1e6);
+        let mut noise = Vec::new();
+        ch.noise_only_into(100_000, 1e6, &mut noise);
         let mean: Complex = noise.iter().copied().sum::<Complex>() / noise.len() as f64;
         assert!(mean.abs() < 0.001 * mean_power(&noise).sqrt() * 100.0);
         // I and Q power split equally
@@ -341,6 +339,9 @@ mod tests {
     fn deterministic_with_same_seed() {
         let mut a = AwgnChannel::new(5.0, 99);
         let mut b = AwgnChannel::new(5.0, 99);
-        assert_eq!(a.noise_only(16, 1e6), b.noise_only(16, 1e6));
+        let (mut na, mut nb) = (Vec::new(), Vec::new());
+        a.noise_only_into(16, 1e6, &mut na);
+        b.noise_only_into(16, 1e6, &mut nb);
+        assert_eq!(na, nb);
     }
 }

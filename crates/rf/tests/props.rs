@@ -72,7 +72,8 @@ proptest! {
         use tinysdr_rf::channel::AwgnChannel;
         use tinysdr_rf::units::noise_floor_dbm;
         let mut ch = AwgnChannel::new(nf, seed);
-        let noise = ch.noise_only(30_000, fs);
+        let mut noise = Vec::new();
+        ch.noise_only_into(30_000, fs, &mut noise);
         let p_mw: f64 =
             noise.iter().map(|z| z.norm_sqr()).sum::<f64>() / noise.len() as f64;
         let got = mw_to_dbm(p_mw);

@@ -248,12 +248,7 @@ fn bench(root: &Path) -> ExitCode {
             ("queue_wait_ms_mean".into(), Value::num(queue_wait_ms_mean)),
         ]));
     }
-    let doc = Value::Obj(vec![
-        ("schema".into(), Value::num(1.0)),
-        ("experiment".into(), Value::str("testbedd_queue")),
-        ("points".into(), Value::Arr(points)),
-    ]);
-    match std::fs::write("BENCH_testbedd.json", doc.write_pretty()) {
+    match tinysdr_bench::trajectory::write("BENCH_testbedd.json", "testbedd_queue", points) {
         Ok(()) => {
             println!("bench: wrote BENCH_testbedd.json");
             ExitCode::SUCCESS

@@ -198,11 +198,7 @@ fn run_waterfall_job(
     } else {
         WaterfallConfig::full(seed)
     };
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
-    match run_waterfall_cancellable(&cfg.sharded(shards), cancel) {
+    match run_waterfall_cancellable(&cfg.sharded(tinysdr_bench::bench_shards()), cancel) {
         SweepRun::Complete(report) => {
             match store.save_json(&rec.id, "report.json", &report.to_json()) {
                 Ok(()) => RunResult::Done,

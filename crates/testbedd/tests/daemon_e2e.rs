@@ -160,12 +160,9 @@ fn submit_run_cancel_and_artifact_lifecycle_over_tcp() {
         &format!("/v1/jobs/{waterfall}/artifacts/report.json"),
         "",
     );
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .max(2);
     let direct = tinysdr_bench::waterfall::run_waterfall(
-        &tinysdr_bench::waterfall::WaterfallConfig::quick(0xBEEF).sharded(shards),
+        &tinysdr_bench::waterfall::WaterfallConfig::quick(0xBEEF)
+            .sharded(tinysdr_bench::bench_shards()),
     );
     assert_eq!(sweep_stored, direct.to_json().write_pretty());
 

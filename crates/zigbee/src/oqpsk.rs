@@ -54,19 +54,11 @@ impl OqpskModulator {
         CHIPS_PER_SYMBOL * self.spc
     }
 
-    /// Modulate a chip stream (0/1, even length) into I/Q samples.
-    /// Output length is `chips.len()·spc + spc` — the final Q half-sine
+    /// Modulate a chip stream (0/1, even length) into I/Q samples in a
+    /// caller-owned buffer, with the I/Q rail intermediates held in
+    /// `scratch` — zero steady-state allocation across a batch. Output
+    /// length is `chips.len()·spc + spc` — the final Q half-sine
     /// extends one chip period past the last chip slot.
-    pub fn modulate_chips(&self, chips: &[u8]) -> Vec<Complex> {
-        let mut out = Vec::new();
-        self.modulate_chips_into(chips, &mut OqpskScratch::default(), &mut out);
-        out
-    }
-
-    /// [`OqpskModulator::modulate_chips`] into a caller-owned buffer,
-    /// with the I/Q rail intermediates held in `scratch` — zero
-    /// steady-state allocation across a batch. Bit-identical to the
-    /// allocating path.
     pub fn modulate_chips_into(
         &self,
         chips: &[u8],
@@ -272,10 +264,12 @@ mod tests {
             d.demodulate_symbols_into(&wave, &mut rx);
             assert_eq!(rx, d.demodulate_symbols(&wave), "{n} symbols");
         }
-        // raw chip path too
+        // raw chip path too: reused dirty buffers == fresh ones
         let chips = [1u8, 0, 0, 1, 1, 1, 0, 0];
         m.modulate_chips_into(&chips, &mut scratch, &mut wave);
-        assert_eq!(wave, m.modulate_chips(&chips));
+        let mut fresh = Vec::new();
+        m.modulate_chips_into(&chips, &mut OqpskScratch::new(), &mut fresh);
+        assert_eq!(wave, fresh);
     }
 
     #[test]

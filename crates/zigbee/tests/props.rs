@@ -6,7 +6,7 @@ use tinysdr_rf::channel::AwgnChannel;
 use tinysdr_rf::phy::PhyModem;
 use tinysdr_zigbee::chips::{chip_sequence, CHIPS_PER_SYMBOL};
 use tinysdr_zigbee::modem::{bytes_to_symbols, symbols_to_bytes, ZigbeePhy};
-use tinysdr_zigbee::oqpsk::{OqpskDemodulator, OqpskModulator};
+use tinysdr_zigbee::oqpsk::{OqpskDemodulator, OqpskModulator, OqpskScratch};
 
 proptest! {
     /// Nibble packing is the identity for any byte frame.
@@ -67,7 +67,8 @@ proptest! {
         let d = OqpskDemodulator::new(2);
         let mut chips = chip_sequence(sym);
         chips[hit] ^= 1;
-        let sig = m.modulate_chips(&chips);
+        let mut sig = Vec::new();
+        m.modulate_chips_into(&chips, &mut OqpskScratch::new(), &mut sig);
         prop_assert_eq!(d.detect_symbol(&sig).0, sym);
     }
 }
